@@ -15,7 +15,11 @@ StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* da
     return Status::InvalidArgument("require 1 <= k <= n");
   }
   if (chunk_elems == 0) {
-    chunk_elems = dev.spec().global_mem_bytes / sizeof(E) / 8;
+    // An eighth of device memory, but never more than the input needs: the
+    // chunk buffer is host-backed, so an unclamped default would allocate
+    // (and page-fault) gigabytes whatever n is.
+    chunk_elems = std::min(dev.spec().global_mem_bytes / sizeof(E) / 8,
+                           std::max(n, 2 * k));
   }
   chunk_elems = std::max(chunk_elems, 2 * k);
 

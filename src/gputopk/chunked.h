@@ -27,7 +27,8 @@ struct ChunkedTopKResult {
 };
 
 /// Streams data[0, n) through the device in chunks of `chunk_elems`
-/// (0 = auto: an eighth of device memory), computing the global top-k.
+/// (0 = auto: an eighth of device memory, at most max(n, 2k)), computing
+/// the global top-k.
 /// Requirements follow the underlying algorithm (default bitonic:
 /// power-of-two k handled via the dispatcher's round-up).
 template <typename E>

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 
 #include "topk/registry.h"
 
@@ -26,38 +28,40 @@ std::string ExecutionReport::Summary() const {
 
 namespace {
 
-uint64_t NextRand(uint64_t* s) {
-  uint64_t x = *s;
-  x ^= x >> 12;
-  x ^= x << 25;
-  x ^= x >> 27;
-  *s = x;
-  return x * 0x2545F4914F6CDD1Dull;
-}
-
 /// Simulated device clock: kernel time + charged backoff + PCIe staging.
 double DeviceClockMs(const simt::ExecCtx& dev) {
   return dev.total_sim_ms() + dev.pcie_ms();
 }
 
-/// Primary-key equality through ordered bits (NaN-safe for float keys: all
-/// NaNs canonicalize to the same greatest key).
+/// Bit-level identity of an element: every key through its ordered bits
+/// (all NaNs canonical — the library's NaN contract) plus the raw payload.
 template <typename E>
-bool SameKey(const E& a, const E& b) {
-  using K = typename ElementTraits<E>::Key;
-  return KeyTraits<K>::ToOrderedBits(ElementTraits<E>::PrimaryKey(a)) ==
-         KeyTraits<K>::ToOrderedBits(ElementTraits<E>::PrimaryKey(b));
+auto Identity(const E& e) {
+  auto bits = [](auto key) {
+    return KeyTraits<decltype(key)>::ToOrderedBits(key);
+  };
+  if constexpr (std::is_same_v<E, KV> || std::is_same_v<E, KV64>) {
+    return std::make_tuple(bits(e.key), e.value);
+  } else if constexpr (std::is_same_v<E, KKV>) {
+    return std::make_tuple(bits(e.key), bits(e.key2), e.value);
+  } else if constexpr (std::is_same_v<E, KKKV>) {
+    return std::make_tuple(bits(e.key), bits(e.key2), bits(e.key3), e.value);
+  } else {
+    return bits(e);
+  }
 }
 
-// The cheap result invariant check: exactly k items, descending, boundary
-// counts against the input (at most k-1 input elements may outrank the k-th
-// result element, at least k must reach it), plus deterministic membership
-// spot-checks. One O(n) pass over the input — far cheaper than re-running
-// any of the algorithms, yet it catches truncation, ordering violations and
-// single-bit key corruption.
+// The result invariant check: exactly k items, descending, boundary counts
+// against the input (at most k-1 input elements may outrank the k-th result
+// element, at least k must reach it), and membership: every result element
+// must match a distinct input element bit for bit, payload included. One
+// O(n) pass over the input — far cheaper than re-running any of the
+// algorithms. Only input elements that reach the k-th result can match, so
+// only those are looked up (a binary search over the sorted result), and
+// only until every result element has its match.
 template <typename E>
 Status VerifyTopK(const E* input, size_t n, const std::vector<E>& items,
-                  size_t k, const ResilienceOptions& opts) {
+                  size_t k) {
   if (items.size() != k) {
     return Status::Internal(
         "verification: result has " + std::to_string(items.size()) +
@@ -71,15 +75,18 @@ Status VerifyTopK(const E* input, size_t n, const std::vector<E>& items,
   }
   if (k == 0) return Status::OK();
 
-  const size_t samples = std::min<size_t>(
-      static_cast<size_t>(std::max(opts.verify_samples, 0)), k);
-  std::vector<size_t> sample_idx(samples);
-  uint64_t rng =
-      opts.verify_seed * 0x9E3779B97F4A7C15ull + 0x2545F4914F6CDD1Dull;
-  for (size_t j = 0; j < samples; ++j) {
-    sample_idx[j] = static_cast<size_t>(NextRand(&rng) % k);
+  using Id = decltype(Identity(items[0]));
+  std::vector<Id> ids(k);
+  for (size_t i = 0; i < k; ++i) ids[i] = Identity(items[i]);
+  std::sort(ids.begin(), ids.end());
+  // unmatched[s]: result copies of ids[s] still without an input match,
+  // kept at the first index s of each run of equal identities.
+  std::vector<uint32_t> unmatched(k, 0);
+  for (size_t i = 0, s = 0; i < k; ++i) {
+    if (ids[i] != ids[s]) s = i;
+    ++unmatched[s];
   }
-  std::vector<char> found(samples, 0);
+  size_t left = k;
 
   const E& kth = items.back();
   size_t outrank = 0;  // input elements strictly greater than the k-th result
@@ -87,9 +94,16 @@ Status VerifyTopK(const E* input, size_t n, const std::vector<E>& items,
   for (size_t i = 0; i < n; ++i) {
     const E& e = input[i];
     if (ElementTraits<E>::Less(kth, e)) ++outrank;
-    if (!ElementTraits<E>::Less(e, kth)) ++reach;
-    for (size_t j = 0; j < samples; ++j) {
-      if (!found[j] && SameKey(e, items[sample_idx[j]])) found[j] = 1;
+    if (ElementTraits<E>::Less(e, kth)) continue;
+    ++reach;
+    if (left == 0) continue;
+    const Id id = Identity(e);
+    auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    if (it == ids.end() || *it != id) continue;
+    uint32_t& u = unmatched[static_cast<size_t>(it - ids.begin())];
+    if (u > 0) {
+      --u;
+      --left;
     }
   }
   if (outrank > k - 1) {
@@ -104,12 +118,10 @@ Status VerifyTopK(const E* input, size_t n, const std::vector<E>& items,
         " input elements reach the k-th result element (need " +
         std::to_string(k) + ")");
   }
-  for (size_t j = 0; j < samples; ++j) {
-    if (!found[j]) {
-      return Status::Internal("verification: result element " +
-                              std::to_string(sample_idx[j]) +
-                              " has no matching key in the input");
-    }
+  if (left > 0) {
+    return Status::Internal("verification: " + std::to_string(left) +
+                            " result elements match no distinct input "
+                            "element bit for bit");
   }
   return Status::OK();
 }
@@ -145,7 +157,7 @@ Status RunStage(const simt::ExecCtx& dev, const ResilienceOptions& opts,
     rec.stage = stage;
     if (r.ok()) {
       Status v = (opts.verify && verify_input != nullptr)
-                     ? VerifyTopK(verify_input, n, r.value(), k, opts)
+                     ? VerifyTopK(verify_input, n, r.value(), k)
                      : Status::OK();
       if (v.ok()) {
         rep->attempts.push_back(std::move(rec));

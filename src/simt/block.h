@@ -64,21 +64,14 @@ class Block {
   /// reconverging after divergence.
   template <typename Fn>
   void ForEachThread(Fn&& fn) {
-    for (int t = 0; t < block_dim_; ++t) {
-      fn(threads_[t]);
-    }
-    if (tracer_ != nullptr) AlignWarpSequences();
+    RunRegion(block_dim_, fn);
   }
 
   /// Runs `fn(Thread&)` for the first `count` threads only (used by the
   /// partition-reassignment optimization where half the threads idle).
   template <typename Fn>
   void ForEachThreadBelow(int count, Fn&& fn) {
-    count = std::min(count, block_dim_);
-    for (int t = 0; t < count; ++t) {
-      fn(threads_[t]);
-    }
-    if (tracer_ != nullptr) AlignWarpSequences();
+    RunRegion(std::min(count, block_dim_), fn);
   }
 
   /// Block-wide barrier (`__syncthreads`). Execution is already sequential;
@@ -140,6 +133,23 @@ class Block {
   }
 
  private:
+  /// Runs threads [0, count) in order. On traced blocks each warp goes to
+  /// the tracer as soon as its last running lane (a trailing partial warp
+  /// included) has finished the region: that warp's accesses of the region
+  /// are then complete, and the re-alignment below keeps the next region's
+  /// sequence numbers above all of them.
+  template <typename Fn>
+  void RunRegion(int count, Fn& fn) {
+    for (int t = 0; t < count; ++t) {
+      fn(threads_[t]);
+      if (tracer_ != nullptr &&
+          (threads_[t].lane == spec_.warp_size - 1 || t + 1 == count)) {
+        tracer_->FlushWarp();
+      }
+    }
+    if (tracer_ != nullptr) AlignWarpSequences();
+  }
+
   void AlignWarpSequences() {
     if (tracer_ == nullptr) return;
     const int ws = spec_.warp_size;

@@ -209,7 +209,7 @@ class Device {
     if (workers <= 1) {
       // Sequential path: the exact legacy loop (workers=1 contract).
       Block block(spec_, cfg.grid_dim, cfg.block_dim);
-      BlockTracer tracer(spec_, cfg.block_dim);
+      BlockTracer tracer(spec_, cfg.block_dim, racecheck_);
       for (int b = 0; b < cfg.grid_dim; ++b) {
         bool traced = (b % stride) == 0;
         if (traced) tracer.Reset(cfg.block_dim);
@@ -237,9 +237,10 @@ class Device {
       // atomics/turnstile contract that makes the traces themselves
       // worker-count-invariant).
       struct WorkerCtx {
-        WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg)
+        WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg,
+                  bool keep_log)
             : block(spec, cfg.grid_dim, cfg.block_dim),
-              tracer(spec, cfg.block_dim) {}
+              tracer(spec, cfg.block_dim, keep_log) {}
         Block block;
         BlockTracer tracer;
         KernelMetrics metrics;
@@ -249,7 +250,7 @@ class Device {
       std::vector<std::unique_ptr<WorkerCtx>> ctx;
       ctx.reserve(workers);
       for (int w = 0; w < workers; ++w) {
-        ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg));
+        ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg, racecheck_));
       }
       LaunchOrder order(cfg.grid_dim);
       const std::function<void(int, int)> run = [&](int w, int b) {

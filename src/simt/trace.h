@@ -20,10 +20,18 @@
 // boundary so that divergent regions (e.g. data-dependent heap updates) cost
 // extra warp instructions exactly as SIMT hardware serializes them.
 //
-// Every access also carries the block's barrier epoch — the number of
-// Block::Sync() barriers executed before it. Epochs do not affect the
-// timing analysis; they exist for simt::RaceChecker, which flags
-// conflicting same-epoch accesses by different threads (racecheck.h).
+// Analysis streams per warp: Block hands each warp to FlushWarp() as soon as
+// its last lane has run a region, and the tracer folds that warp's pending
+// accesses into the block's metrics and drops them. The re-alignment above
+// means no (warp, seq) instruction spans two regions, so the per-region
+// analysis sees exactly the instructions a whole-block analysis would.
+//
+// For simt::RaceChecker, which flags conflicting same-epoch accesses by
+// different threads (racecheck.h), the tracer can also keep every access of
+// the block in a per-thread log, stamped with the block's barrier epoch —
+// the number of Block::Sync() barriers executed before it. The log exists
+// only when the tracer is constructed with `keep_log` (the Device does so
+// while racecheck is armed); epochs never affect the timing analysis.
 #ifndef MPTOPK_SIMT_TRACE_H_
 #define MPTOPK_SIMT_TRACE_H_
 
@@ -49,59 +57,125 @@ class BlockTracer {
     bool atomic;
   };
 
-  BlockTracer(const DeviceSpec& spec, int block_dim);
+  /// `keep_log` retains every access of the block per thread for
+  /// simt::RaceChecker (global_accesses() / shared_accesses()); without it
+  /// an access lives only until its warp is analyzed. The spec's sector
+  /// size, bank width and bank count must be powers of two, with at most
+  /// 64 banks.
+  BlockTracer(const DeviceSpec& spec, int block_dim, bool keep_log = false);
 
-  /// Clears all recorded accesses (block reuse) and resets the barrier
-  /// epoch. Access vectors are re-reserved from the high-water mark of
-  /// earlier blocks, so steady-state tracing never reallocates.
+  /// Clears all recorded accesses and metrics (block reuse) and resets the
+  /// barrier epoch.
   void Reset(int block_dim);
 
+  // Inline: every traced access of every kernel lands here.
   void RecordGlobal(int tid, uint32_t seq, uint64_t addr, uint32_t size,
-                    bool write, bool atomic = false);
+                    bool write, bool atomic = false) {
+    Record(&global_, tid, seq, addr, size, atomic);
+    if (keep_log_) {
+      global_log_[tid].push_back(Access{
+          addr, seq, epoch_, static_cast<uint16_t>(size), write, atomic});
+    }
+  }
   void RecordShared(int tid, uint32_t seq, uint64_t addr, uint32_t size,
-                    bool write, bool atomic);
+                    bool write, bool atomic) {
+    Record(&shared_, tid, seq, addr, size, atomic);
+    if (keep_log_) {
+      shared_log_[tid].push_back(Access{
+          addr, seq, epoch_, static_cast<uint16_t>(size), write, atomic});
+    }
+  }
   /// Register-spill traffic to thread-local memory (no warp analysis; billed
   /// as global-bandwidth bytes).
-  void RecordLocal(uint64_t bytes) { local_bytes_ += bytes; }
+  void RecordLocal(uint64_t bytes) { metrics_.local_bytes += bytes; }
 
   /// Latency-bound dependent access chains (each link's address depends on
   /// the previous load, e.g. heap sift levels); priced by the timing model
   /// as exposed latency divided by resident warps.
-  void RecordDependentCycles(uint64_t cycles) { dependent_cycles_ += cycles; }
+  void RecordDependentCycles(uint64_t cycles) {
+    metrics_.dependent_stall_cycles += cycles;
+  }
 
   /// Advances the barrier epoch (called by Block::Sync on traced blocks).
   void AdvanceEpoch() { ++epoch_; }
   uint32_t epoch() const { return epoch_; }
 
-  /// Analyzes all recorded accesses of this block and accumulates into *m.
-  void Analyze(KernelMetrics* m) const;
+  /// Analyzes the accesses recorded since the previous flush into this
+  /// block's metrics and drops them. Block calls it once a warp's last lane
+  /// has run a region, so the pending accesses are that warp's share of the
+  /// region; any mix of warps is grouped correctly.
+  void FlushWarp();
 
-  // Raw per-thread access streams, indexed by tid (for RaceChecker).
+  /// Flushes whatever is still pending and accumulates this block's metrics
+  /// into *m (counting one traced block).
+  void Analyze(KernelMetrics* m);
+
+  // Retained per-thread access log, indexed by tid (for RaceChecker); the
+  // inner vectors stay empty unless the tracer keeps its log.
   int block_dim() const { return block_dim_; }
   const std::vector<std::vector<Access>>& global_accesses() const {
-    return global_;
+    return global_log_;
   }
   const std::vector<std::vector<Access>>& shared_accesses() const {
-    return shared_;
+    return shared_log_;
   }
 
  private:
-  void AnalyzeGlobalWarp(const std::vector<Access>* lanes, int num_lanes,
-                         KernelMetrics* m) const;
-  void AnalyzeSharedWarp(const std::vector<Access>* lanes, int num_lanes,
-                         KernelMetrics* m) const;
+  // An access awaiting warp analysis.
+  struct Op {
+    uint64_t addr;
+    uint32_t seq;
+    uint16_t size;
+    bool atomic;
+  };
+  // A maximal stretch of consecutive Ops from one thread; `begin` doubles as
+  // the merge cursor during analysis.
+  struct Run {
+    uint32_t begin;
+    uint32_t end;
+    int warp;
+  };
+  // One address space's accesses since the last flush, in arrival order.
+  struct Pending {
+    std::vector<Op> ops;
+    std::vector<Run> runs;
+    int last_tid = -1;
+    void Clear() {
+      ops.clear();
+      runs.clear();
+      last_tid = -1;
+    }
+  };
+
+  void Record(Pending* p, int tid, uint32_t seq, uint64_t addr, uint32_t size,
+              bool atomic) {
+    if (tid != p->last_tid) StartRun(p, tid);
+    p->ops.push_back(Op{addr, seq, static_cast<uint16_t>(size), atomic});
+  }
+  void StartRun(Pending* p, int tid);
+  /// Calls on_op(op) for every access of every warp instruction in `p`
+  /// and on_end(participants) after each instruction, then clears `p`.
+  template <typename OnOp, typename OnEnd>
+  void ForEachInstruction(Pending* p, OnOp&& on_op, OnEnd&& on_end);
+  void AnalyzeGlobal();
+  void AnalyzeShared();
 
   const DeviceSpec& spec_;
   int block_dim_;
-  // Indexed by tid; accesses are in strictly increasing seq order per thread.
-  std::vector<std::vector<Access>> global_;
-  std::vector<std::vector<Access>> shared_;
+  bool keep_log_;
+  int sector_shift_;
+  int word_shift_;
+  uint64_t bank_mask_;
+  Pending global_;
+  Pending shared_;
+  KernelMetrics metrics_;
   uint32_t epoch_ = 0;
-  uint64_t local_bytes_ = 0;
-  uint64_t dependent_cycles_ = 0;
-  // Largest per-thread access counts seen so far (Reset reserves these).
-  size_t global_hwm_ = 0;
-  size_t shared_hwm_ = 0;
+  // Heap scratch for warp instructions too wide for the stack buffers
+  // (accesses far wider than any element type).
+  std::vector<uint64_t> wide_;
+  // Indexed by tid; accesses in strictly increasing seq order per thread.
+  std::vector<std::vector<Access>> global_log_;
+  std::vector<std::vector<Access>> shared_log_;
 };
 
 }  // namespace mptopk::simt

@@ -325,7 +325,6 @@ TEST(ResilientTopKTest, CorruptedResultReadbackIsCaughtAndRerun) {
   const size_t k = 8;
   auto data = GenerateFloats(n, Distribution::kUniform);
   planner::ResilienceOptions opts;
-  opts.verify_samples = static_cast<int>(k);
   // Calibrate: how many readbacks does a clean resilient run perform? The
   // last one carries the result.
   int readbacks = 0;
@@ -353,6 +352,75 @@ TEST(ResilientTopKTest, CorruptedResultReadbackIsCaughtAndRerun) {
   EXPECT_EQ(r->report.corruption_reruns, 1);
   EXPECT_GT(r->report.added_latency_ms, 0.0);
   EXPECT_EQ(r->items, TopKReference(data, k));
+}
+
+// Flips one bit of the result readback (the last one a clean run performs)
+// under fault seed `seed`; returns the resilient answer and, through
+// `corruptions`, how many readbacks the plan corrupted.
+template <typename E>
+StatusOr<planner::ResilientResult<E>> RunWithCorruptResult(
+    const std::vector<E>& data, size_t k, uint64_t seed, int* corruptions) {
+  const size_t n = data.size();
+  int readbacks = 0;
+  {
+    simt::Device dev;
+    auto buf = dev.Alloc<E>(n).value();
+    EXPECT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
+    auto plan = Install(dev, FaultPlanConfig{});
+    auto r = planner::ResilientTopKDevice(dev, buf, n, k);
+    EXPECT_TRUE(r.ok()) << r.status();
+    readbacks = plan->stats().readbacks_seen;
+  }
+  simt::Device dev;
+  auto buf = dev.Alloc<E>(n).value();
+  EXPECT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
+  FaultPlanConfig cfg;
+  cfg.seed = seed;
+  cfg.corrupt_readback_index = readbacks;
+  auto plan = Install(dev, cfg);
+  auto r = planner::ResilientTopKDevice(dev, buf, n, k);
+  *corruptions = plan->stats().corruptions;
+  return r;
+}
+
+// A flipped low-order key bit keeps the result descending and the boundary
+// counts intact; only matching every item against the input catches it.
+TEST(ResilientTopKTest, LowOrderKeyBitFlipIsCaughtAndRerun) {
+  const size_t n = 1 << 13;
+  const size_t k = 64;
+  auto data = GenerateFloats(n, Distribution::kUniform);
+  for (uint64_t seed : {1, 3, 4}) {
+    int corruptions = 0;
+    auto r = RunWithCorruptResult(data, k, seed, &corruptions);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(corruptions, 1) << "seed=" << seed;
+    EXPECT_EQ(r->report.corruption_reruns, 1) << "seed=" << seed;
+    EXPECT_EQ(r->items, TopKReference(data, k)) << "seed=" << seed;
+  }
+}
+
+// A flipped payload bit leaves every key untouched: membership must compare
+// the payload too.
+TEST(ResilientTopKTest, PayloadBitFlipIsCaughtAndRerun) {
+  const size_t n = 1 << 13;
+  const size_t k = 64;
+  auto keys = GenerateFloats(n, Distribution::kUniform);
+  std::vector<KV> data(n);
+  for (size_t i = 0; i < n; ++i) {
+    data[i] = KV{keys[i], static_cast<uint32_t>(i * 2654435761u)};
+  }
+  std::vector<KV> ref = data;
+  std::sort(ref.begin(), ref.end(),
+            [](const KV& a, const KV& b) { return a.key > b.key; });
+  ref.resize(k);
+  for (uint64_t seed : {1, 3, 4}) {
+    int corruptions = 0;
+    auto r = RunWithCorruptResult(data, k, seed, &corruptions);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(corruptions, 1) << "seed=" << seed;
+    EXPECT_EQ(r->report.corruption_reruns, 1) << "seed=" << seed;
+    EXPECT_EQ(r->items, ref) << "seed=" << seed;
+  }
 }
 
 TEST(ResilientTopKTest, SameSeedIsBitForBitDeterministic) {

@@ -13,6 +13,8 @@
 #include "common/distributions.h"
 #include "gputopk/topk.h"
 #include "planner/plan_topk.h"
+#include "planner/resilient.h"
+#include "simt/fault_injection.h"
 #include "topk/registry.h"
 
 namespace mptopk {
@@ -264,6 +266,40 @@ TEST(OperatorRegistryTest, CostHooksGateInfeasibleConfigurations) {
   // CPU operators have no device cost model: never planner-rankable.
   auto cpu_op = topk::FindOperator("cpu:StlPq").value();
   EXPECT_LT(cpu_op->CostMs(spec, small_k), 0.0);
+}
+
+// Device buffers are host-backed, so host memory must grow with the input,
+// not with the modelled device's 12 GB: every registered operator
+// (ChunkedTopK with its default chunk size included) and the resilient
+// executor's full degrade chain must keep the Device's peak allocation
+// O(n + k).
+TEST(OperatorRegistryTest, PeakDeviceAllocationIsLinearInInput) {
+  constexpr size_t kN = 4096;
+  constexpr size_t kK = 32;
+  constexpr size_t kBound = 8 * (kN + kK) * sizeof(float);
+  const auto data = GenerateFloats(kN, Distribution::kUniform);
+  for (const topk::TopKOperator* op : AllOps()) {
+    if (!op->CheckCaps(topk::ElemType::kF32, kN, kK).ok()) continue;
+    simt::Device dev;
+    auto r = op->TopKHost(dev, data.data(), kN, kK);
+    ASSERT_TRUE(r.ok()) << op->name() << ": " << r.status();
+    EXPECT_LE(dev.peak_allocated_bytes(), kBound) << op->name();
+  }
+
+  // Staging fails, then the chunked stage's first copy: the request walks
+  // the whole chain (GPU staging -> ChunkedTopK -> CPU).
+  simt::Device dev;
+  simt::FaultPlanConfig cfg;
+  cfg.fail_alloc_index = 1;
+  cfg.fail_transfer_index = 1;
+  dev.set_fault_plan(std::make_shared<simt::FaultPlan>(cfg));
+  planner::ResilienceOptions opts;
+  opts.max_retries = 0;
+  auto r = planner::ResilientTopK(dev, data.data(), kN, kK, opts);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->report.degraded_to_chunked);
+  EXPECT_TRUE(r->report.used_cpu);
+  EXPECT_LE(dev.peak_allocated_bytes(), kBound);
 }
 
 }  // namespace

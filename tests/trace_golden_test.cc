@@ -13,7 +13,7 @@
 namespace mptopk::simt {
 namespace {
 
-KernelMetrics Analyzed(const BlockTracer& tracer) {
+KernelMetrics Analyzed(BlockTracer& tracer) {
   KernelMetrics m;
   tracer.Analyze(&m);
   return m;
@@ -189,8 +189,10 @@ TEST(TraceGolden, SharedAtomics) {
 // metrics: the same pattern split across epochs analyzes identically.
 TEST(TraceGolden, EpochsDoNotAffectMetrics) {
   DeviceSpec spec;
-  BlockTracer flat(spec, 32);
-  BlockTracer epoched(spec, 32);
+  // Both keep the per-thread access log so the stamped epochs stay
+  // inspectable after analysis.
+  BlockTracer flat(spec, 32, /*keep_log=*/true);
+  BlockTracer epoched(spec, 32, /*keep_log=*/true);
   for (int lane = 0; lane < 32; ++lane) {
     flat.RecordShared(lane, 0, 4 * lane, 4, true, false);
     flat.RecordShared(lane, 1, 4 * lane, 4, false, false);
@@ -218,7 +220,7 @@ TEST(TraceGolden, EpochsDoNotAffectMetrics) {
 // Reset clears accesses and rewinds the epoch counter for block reuse.
 TEST(TraceGolden, ResetClearsEpoch) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 32);
+  BlockTracer tracer(spec, 32, /*keep_log=*/true);
   tracer.RecordShared(0, 0, 0, 4, true, false);
   tracer.AdvanceEpoch();
   EXPECT_EQ(tracer.epoch(), 1u);
