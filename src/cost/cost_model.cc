@@ -21,6 +21,19 @@ double Bg(const simt::DeviceSpec& spec, const Workload& w) {
   return Bg(spec) / GlobalContention(w);
 }
 double Bs(const simt::DeviceSpec& spec) { return spec.shared_bw_gbps * 1e9; }
+
+// The paper's host CPU, an i7-6900.
+constexpr int kCpuCores = 8;
+constexpr double kCpuMemBwGbps = 20.0;  // per-core effective stream bandwidth
+constexpr double kCpuHeapInsertNs = 12.0;  // amortized replace-min cost
+constexpr double kCpuCompareNs = 0.35;  // vectorized bitonic compare-exchange
+
+double CpuElemsPerCore(const Workload& w) {
+  return static_cast<double>(w.n) / kCpuCores;
+}
+double CpuStreamS(const Workload& w) {
+  return CpuElemsPerCore(w) * w.elem_size / (kCpuMemBwGbps * 1e9);
+}
 double LaunchMs(const simt::DeviceSpec& spec) {
   return spec.kernel_launch_overhead_us * 1e-3;
 }
@@ -297,6 +310,41 @@ double HybridCostMs(const simt::DeviceSpec& spec, const Workload& w) {
   const double cand = std::max<double>(32.0 * w.n / sample, 4.0 * w.k);
   const double tail_s = 2.0 * cand * w.elem_size / bg;
   return (sample_s + filter_s + tail_s) * kMs + 6 * LaunchMs(spec);
+}
+
+double PcieStagingMs(const simt::DeviceSpec& spec, const Workload& w) {
+  return static_cast<double>(w.n) * w.elem_size / (spec.pcie_bw_gbps * 1e9) *
+         kMs;
+}
+
+double CpuHeapCostMs(const Workload& w) {
+  const double per_core = CpuElemsPerCore(w);
+  // Paper Section 6.7: ~500 insertions per 67k elements at k=32 uniform.
+  double inserts_per_core;
+  switch (w.dist) {
+    case Distribution::kIncreasing:
+      inserts_per_core = per_core;
+      break;
+    case Distribution::kDecreasing:
+      inserts_per_core = static_cast<double>(w.k);
+      break;
+    default:
+      inserts_per_core =
+          w.k * (std::log(std::max(1.0, per_core / w.k)) + 1.0);
+  }
+  const double heap_s = CpuStreamS(w) + inserts_per_core *
+                                            std::max(1, Log2Ceil(w.k)) *
+                                            kCpuHeapInsertNs * 1e-9;
+  return heap_s * kMs;
+}
+
+double CpuBitonicCostMs(const Workload& w) {
+  const int lk = std::max(1, Log2Ceil(std::max<size_t>(2, w.k)));
+  const double compares_per_elem = 0.5 * lk * (lk + 3);  // local sort+rebuilds
+  const double bitonic_s =
+      std::max(CpuStreamS(w),
+               CpuElemsPerCore(w) * compares_per_elem * kCpuCompareNs * 1e-9);
+  return bitonic_s * kMs;
 }
 
 }  // namespace mptopk::cost

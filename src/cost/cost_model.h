@@ -45,6 +45,10 @@ struct Workload {
   /// terms (a per-SM resource) do not — which shifts the planner toward
   /// shared-memory-bound algorithms (bitonic) under heavy batching.
   int concurrent_streams = 1;
+  /// The input starts in host memory: GPU backends first pay a PCIe staging
+  /// copy (PcieStagingMs) and CPU backends can run in place. When false the
+  /// input is already on the device, where CPU backends cannot reach it.
+  bool host_resident = false;
 };
 
 /// Effective global-bandwidth divisor for `w` (>= 1).
@@ -86,6 +90,17 @@ double PerThreadCostMs(const simt::DeviceSpec& spec, const Workload& w);
 /// work): ~one coalesced read + sample + tiny bitonic on discriminating
 /// keys; bitonic-plus-a-read on adversarial ones.
 double HybridCostMs(const simt::DeviceSpec& spec, const Workload& w);
+
+/// Milliseconds to stage the whole input host -> device over PCIe.
+double PcieStagingMs(const simt::DeviceSpec& spec, const Workload& w);
+
+/// CPU models for the paper's host (an 8-core i7-6900, Section 6.7); they
+/// need no DeviceSpec. Heaps: a streaming read plus data-dependent
+/// replace-min calls, so cheap on friendly distributions and
+/// insert-per-element on increasing input. CPU bitonic (Appendix C):
+/// data-independent SIMD compare-exchanges, bounded below by the read.
+double CpuHeapCostMs(const Workload& w);
+double CpuBitonicCostMs(const Workload& w);
 
 }  // namespace mptopk::cost
 

@@ -32,18 +32,6 @@ enum class CpuAlgorithm {
   kBitonic,
 };
 
-inline const char* CpuAlgorithmName(CpuAlgorithm a) {
-  switch (a) {
-    case CpuAlgorithm::kStlPq:
-      return "STL PQ";
-    case CpuAlgorithm::kHandPq:
-      return "Hand PQ";
-    case CpuAlgorithm::kBitonic:
-      return "CPU Bitonic";
-  }
-  return "Unknown";
-}
-
 template <typename E>
 struct CpuTopKResult {
   /// The k greatest elements, descending.
@@ -55,7 +43,7 @@ struct CpuTopKResult {
 
 /// Computes the top-k of data[0, n) on the CPU. `threads` = 0 uses
 /// std::thread::hardware_concurrency(). Requirements: 1 <= k <= n; the
-/// bitonic variant additionally requires k to be a power of two <= 1024.
+/// bitonic variant additionally requires k to be a power of two <= 256.
 template <typename E>
 StatusOr<CpuTopKResult<E>> CpuTopK(const E* data, size_t n, size_t k,
                                    CpuAlgorithm algo, int threads = 0);

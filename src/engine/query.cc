@@ -8,7 +8,6 @@
 #include "common/bits.h"
 #include "gputopk/bitonic_kernels.h"
 #include "gputopk/radix_sort.h"
-#include "gputopk/topk.h"
 #include "topk/registry.h"
 
 namespace mptopk::engine {

@@ -11,7 +11,12 @@
 #include <cstddef>
 
 #include "common/status.h"
-#include "gputopk/topk.h"
+#include "gputopk/topk_result.h"
+#include "simt/exec_ctx.h"
+
+namespace mptopk::topk {
+class TopKOperator;
+}  // namespace mptopk::topk
 
 namespace mptopk::gpu {
 
@@ -29,14 +34,15 @@ struct ChunkedTopKResult {
 /// Streams data[0, n) through the device in chunks of `chunk_elems`
 /// (0 = auto: an eighth of device memory, at most max(n, 2k)), computing
 /// the global top-k.
-/// Requirements follow the underlying algorithm (default bitonic:
-/// power-of-two k handled via the dispatcher's round-up).
+/// Each chunk and the final reduction run through `op`'s caps-checked
+/// TopKDevice (nullptr = the registered BitonicTopK, which rounds any k up
+/// to a power of two), so requirements follow that operator.
 template <typename E>
 StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* data,
                                            size_t n, size_t k,
                                            size_t chunk_elems = 0,
-                                           Algorithm algo =
-                                               Algorithm::kBitonic);
+                                           const topk::TopKOperator* op =
+                                               nullptr);
 
 }  // namespace mptopk::gpu
 

@@ -12,10 +12,17 @@ StatusOr<Plan> PlanTopK(const simt::DeviceSpec& spec,
   }
   Plan plan;
   for (const topk::TopKOperator* op : topk::Registry::Instance().All()) {
-    if (op->caps().cost_ms == nullptr) continue;  // not planner-rankable
-    if (op->caps().extension && !include_extensions) continue;
-    const double ms = op->CostMs(spec, w);
-    if (ms >= 0) plan.ranked.push_back({op, ms});
+    const topk::OperatorCaps& caps = op->caps();
+    if (caps.cost_ms == nullptr) continue;  // not planner-rankable
+    if (caps.extension && !include_extensions) continue;
+    const bool on_gpu = caps.backend == topk::Backend::kGpuSim;
+    // CPU backends have no device-resident entry point.
+    if (!on_gpu && !w.host_resident) continue;
+    if (!op->CheckShape(w.n, w.k).ok()) continue;
+    double ms = op->CostMs(spec, w);
+    if (ms < 0) continue;
+    if (on_gpu && w.host_resident) ms += cost::PcieStagingMs(spec, w);
+    plan.ranked.push_back({op, ms});
   }
   std::stable_sort(plan.ranked.begin(), plan.ranked.end(),
                    [](const OperatorEstimate& a, const OperatorEstimate& b) {

@@ -4,12 +4,20 @@
 // work ("hybrid and adaptive solutions").
 //
 // PlanTopK ranks the registered operators (topk/registry.h) by their
-// OperatorCaps cost hooks (the Section 7 models) under the given workload.
-// Infeasible operators (per-thread heaps beyond shared memory, bitonic
-// beyond k = tile/2) price themselves out with a negative cost; operators
-// without a cost hook (CPU backends, the streaming executor) don't compete.
-// A newly registered operator with a cost hook joins the ranking with no
-// planner edits.
+// OperatorCaps cost hooks under the given workload: the Section 7 models
+// for the GPU backends, a host model for cpu:HandPq and cpu:Bitonic.
+// Where the data lives decides placement (the paper's Section 1 argument):
+//   * device-resident (the default): only GPU backends compete — the CPU
+//     ones have no device-resident entry point;
+//   * Workload::host_resident: every GPU backend also pays one PCIe staging
+//     copy of the input, so a memory-bound CPU heap can win on one-shot
+//     host data while the GPU still wins where the heaps degrade (sorted
+//     input, Fig 15b).
+// Operators whose caps reject the (n, k) shape, or that price themselves
+// out with a negative cost (per-thread heaps beyond shared memory, bitonic
+// beyond k = tile/2), are skipped; operators without a cost hook (the
+// streaming executor, cpu:StlPq) don't compete. A newly registered operator
+// with a cost hook joins the ranking with no planner edits.
 #ifndef MPTOPK_PLANNER_PLAN_TOPK_H_
 #define MPTOPK_PLANNER_PLAN_TOPK_H_
 

@@ -26,6 +26,10 @@ Status TopKOperator::CheckCaps(ElemType t, size_t n, size_t k) const {
     return Status::InvalidArgument(name_ + " does not support element type " +
                                    ElemTypeName(t));
   }
+  return CheckShape(n, k);
+}
+
+Status TopKOperator::CheckShape(size_t n, size_t k) const {
   if (k == 0 || k > n) {
     return Status::InvalidArgument(
         name_ + ": require 1 <= k <= n (k=" + std::to_string(k) +
@@ -217,6 +221,15 @@ double HybridCost(const simt::DeviceSpec& s, const cost::Workload& w) {
   if (NextPowerOfTwo(w.k) > 1024) return -1.0;
   return cost::HybridCostMs(s, RoundKUp(w));
 }
+// CPU hooks: host-side models, independent of the device. cpu:StlPq has
+// none: the heap model cannot tell it from cpu:HandPq, and a tied entry
+// would only reorder the plan.
+double CpuHeapCost(const simt::DeviceSpec&, const cost::Workload& w) {
+  return cost::CpuHeapCostMs(w);
+}
+double CpuBitonicCost(const simt::DeviceSpec&, const cost::Workload& w) {
+  return cost::CpuBitonicCostMs(w);
+}
 
 OperatorCaps GpuCaps(double (*cost)(const simt::DeviceSpec&,
                                     const cost::Workload&)) {
@@ -227,9 +240,9 @@ OperatorCaps GpuCaps(double (*cost)(const simt::DeviceSpec&,
   return c;
 }
 
-// The dispatcher semantics the deprecated enum switch used for the
-// comparison-network methods: round k up to a power of two, trim the
-// result, and fall back to radix select when the round-up would exceed n.
+// The comparison-network methods' k rule: round k up to a power of two,
+// trim the result, and fall back to radix select when the round-up would
+// exceed n.
 template <typename E, typename RunFn>
 StatusOr<gpu::TopKResult<E>> RunRoundedPow2(const simt::ExecCtx& dev,
                                             simt::DeviceBuffer<E>& data,
@@ -369,8 +382,8 @@ class ChunkedOperator final : public TopKOperator {
   }
 
   // Streaming host entry only — chunked.h's default geometry (auto chunk
-  // size, bitonic per-chunk reduction), exactly the resilient executor's
-  // legacy degrade call.
+  // size, bitonic per-chunk reduction) — the resilient executor's degrade
+  // stage.
 #define MPTOPK_X(T, EN, NAME)                                              \
   StatusOr<gpu::TopKResult<T>> RunHost(const simt::ExecCtx& dev,           \
                                        const T* data, size_t n, size_t k)  \
@@ -393,13 +406,16 @@ class ChunkedOperator final : public TopKOperator {
 class CpuOperator final : public TopKOperator {
  public:
   CpuOperator(std::string name, cpu::CpuAlgorithm algo, int fallback_rank,
-              bool pow2_only, size_t max_k)
+              bool pow2_only, size_t max_k,
+              double (*cost)(const simt::DeviceSpec&, const cost::Workload&))
       : TopKOperator(std::move(name),
-                     Caps(fallback_rank, pow2_only, max_k)),
+                     Caps(fallback_rank, pow2_only, max_k, cost)),
         algo_(algo) {}
 
  private:
-  static OperatorCaps Caps(int fallback_rank, bool pow2_only, size_t max_k) {
+  static OperatorCaps Caps(int fallback_rank, bool pow2_only, size_t max_k,
+                           double (*cost)(const simt::DeviceSpec&,
+                                          const cost::Workload&)) {
     OperatorCaps c;
     c.backend = Backend::kCpu;
     c.elem_types = kCpuElemTypes;
@@ -407,6 +423,7 @@ class CpuOperator final : public TopKOperator {
     c.max_k = max_k;
     c.retry_transient = false;  // host execution has no transient faults
     c.fallback_rank = fallback_rank;
+    c.cost_ms = cost;
     return c;
   }
 
@@ -433,8 +450,8 @@ class CpuOperator final : public TopKOperator {
 #undef MPTOPK_X
 };
 
-// Display order mirrors the paper's presentation (and the legacy bench
-// column order): the five core GPU algorithms, the hybrid extension, the
+// Display order mirrors the paper's presentation (and the bench column
+// order): the five core GPU algorithms, the hybrid extension, the
 // streaming executor, then the CPU baselines.
 OperatorRegistrar r_sort(std::make_unique<SortOperator>(), 10, {"sort"});
 OperatorRegistrar r_perthread(std::make_unique<PerThreadOperator>(), 20,
@@ -452,17 +469,17 @@ OperatorRegistrar r_chunked(std::make_unique<ChunkedOperator>(), 70,
 OperatorRegistrar r_cpu_stl(
     std::make_unique<CpuOperator>("cpu:StlPq", cpu::CpuAlgorithm::kStlPq,
                                   /*fallback_rank=*/1, /*pow2_only=*/false,
-                                  /*max_k=*/0),
+                                  /*max_k=*/0, /*cost=*/nullptr),
     80, {"stlpq", "cpu_stlpq"});
 OperatorRegistrar r_cpu_hand(
     std::make_unique<CpuOperator>("cpu:HandPq", cpu::CpuAlgorithm::kHandPq,
                                   /*fallback_rank=*/0, /*pow2_only=*/false,
-                                  /*max_k=*/0),
+                                  /*max_k=*/0, &CpuHeapCost),
     90, {"handpq", "cpu_handpq"});
 OperatorRegistrar r_cpu_bitonic(
     std::make_unique<CpuOperator>("cpu:Bitonic", cpu::CpuAlgorithm::kBitonic,
                                   /*fallback_rank=*/2, /*pow2_only=*/true,
-                                  /*max_k=*/256),
+                                  /*max_k=*/256, &CpuBitonicCost),
     100, {"cpu_bitonic"});
 
 }  // namespace

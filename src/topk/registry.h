@@ -2,8 +2,7 @@
 // GPU-simulated algorithms, the chunked streaming executor and the three
 // CPU baselines — is one TopKOperator with an OperatorCaps descriptor, and
 // consumers (planner, resilient executor, query engine, benches, tests)
-// enumerate or resolve operators here instead of switching over the
-// deprecated gpu::Algorithm enum (gputopk/topk.h keeps thin shims).
+// enumerate or resolve operators here; it is the one dispatch path.
 //
 // Adding an operator is a one-file change: subclass TopKOperator, override
 // the Run hooks for the element types it supports, and register a static
@@ -122,8 +121,10 @@ struct OperatorCaps {
   /// Position in the resilient executor's CPU fallback chain (lower first;
   /// meaningful for Backend::kCpu operators).
   int fallback_rank = 0;
-  /// Section 7 cost model: predicted milliseconds for the workload, or a
-  /// negative value when infeasible. nullptr = not planner-rankable.
+  /// Cost model (Section 7 for the GPU backends, a host model for the CPU
+  /// ones): predicted milliseconds of the operator's own work, or a
+  /// negative value when infeasible. PCIe staging is not included; the
+  /// planner adds it. nullptr = not planner-rankable.
   double (*cost_ms)(const simt::DeviceSpec&, const cost::Workload&) = nullptr;
 };
 
@@ -158,6 +159,8 @@ class TopKOperator {
   /// Validates an (element type, n, k) request against the caps. Every
   /// violation is kInvalidArgument — never a wrong answer.
   Status CheckCaps(ElemType t, size_t n, size_t k) const;
+  /// The (n, k) part of CheckCaps: 1 <= k <= n, min_n, pow2_k_only, max_k.
+  Status CheckShape(size_t n, size_t k) const;
 
   /// Predicted cost in ms for the workload; negative when infeasible or the
   /// operator has no cost model.
@@ -184,9 +187,9 @@ class TopKOperator {
     return RunHost(dev, data, n, k);
   }
 
-  /// Bottom-k (the k smallest, ascending order semantics of the caller):
-  /// top-k over order-negated keys, one extra counted negate pass. Kernel
-  /// sequence is identical to the legacy gpu::BottomKDevice.
+  /// Bottom-k (the k smallest, ascending): top-k over order-negated keys.
+  /// On the device that is one extra counted negate pass; CPU operators
+  /// negate a host copy.
   template <typename E>
   StatusOr<gpu::TopKResult<E>> BottomKDevice(const simt::ExecCtx& dev,
                                              simt::DeviceBuffer<E>& data,
@@ -300,8 +303,8 @@ const TopKOperator* StreamingFallback();
 
 namespace detail {
 
-/// The legacy bottom-k negate pass, bit-identical to gpu::BottomKDevice's:
-/// same kernel name, geometry and access pattern.
+/// The bottom-k negate pass: one grid-stride kernel writing the
+/// order-negated keys to a scratch buffer.
 template <typename E>
 Status NegateKeys(const simt::ExecCtx& dev, simt::DeviceBuffer<E>& in_buf,
                   simt::DeviceBuffer<E>& out_buf, size_t n) {
@@ -347,8 +350,7 @@ StatusOr<gpu::TopKResult<E>> TopKOperator::BottomKHost(
   }
   MPTOPK_RETURN_NOT_OK(CheckCaps(ElemTypeOf<E>::value, n, k));
   if (caps_.backend == Backend::kGpuSim) {
-    // Stage first, then run the device bottom-k — the exact legacy
-    // gpu::TopK(..., SortOrder::kSmallest) allocation/copy sequence.
+    // Stage first, then run the device bottom-k.
     MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
     MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
     return BottomKDevice(dev, buf, n, k);

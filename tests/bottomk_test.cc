@@ -1,15 +1,22 @@
 // Tests for the bottom-k direction ("largest or smallest", paper abstract):
-// implemented as top-k over order-negated keys, so every algorithm must
-// work symmetrically.
+// implemented as top-k over order-negated keys, so every registered
+// operator that claims supports_bottom_k must work symmetrically — the GPU
+// backends through a device negate pass, the CPU backends through a negated
+// host copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "common/distributions.h"
-#include "gputopk/topk.h"
+#include "topk/registry.h"
 
-namespace mptopk::gpu {
+namespace mptopk {
 namespace {
+
+// Off every warp and tile boundary.
+constexpr size_t kN = 10007;
 
 template <typename E>
 std::vector<E> ReferenceBottom(std::vector<E> data, size_t k) {
@@ -19,73 +26,126 @@ std::vector<E> ReferenceBottom(std::vector<E> data, size_t k) {
   return data;
 }
 
-class BottomKTest : public ::testing::TestWithParam<Algorithm> {};
-
-TEST_P(BottomKTest, FloatsAscending) {
-  auto data = GenerateFloats(1 << 15, Distribution::kUniform, 21);
-  simt::Device dev;
-  auto r = TopK(dev, data.data(), data.size(), 32, GetParam(),
-                SortOrder::kSmallest);
-  ASSERT_TRUE(r.ok()) << r.status();
-  auto expect = ReferenceBottom(data, 32);
-  ASSERT_EQ(r->items.size(), 32u);
-  for (size_t i = 0; i < 32; ++i) {
-    EXPECT_EQ(r->items[i], expect[i]) << "rank " << i;
+std::vector<const topk::TopKOperator*> BottomKOperators() {
+  std::vector<const topk::TopKOperator*> out;
+  for (const topk::TopKOperator* op : topk::Registry::Instance().All()) {
+    if (op->caps().supports_bottom_k) out.push_back(op);
   }
+  return out;
 }
 
-TEST_P(BottomKTest, SignedIntsIncludingMin) {
-  auto data = GenerateI32(1 << 14, Distribution::kUniform, 22);
-  data[100] = INT32_MIN;  // ~x must handle the extremes
-  data[200] = INT32_MAX;
-  simt::Device dev;
-  auto r = TopK(dev, data.data(), data.size(), 16, GetParam(),
-                SortOrder::kSmallest);
-  ASSERT_TRUE(r.ok()) << r.status();
-  auto expect = ReferenceBottom(data, 16);
-  EXPECT_EQ(r->items, expect);
-  EXPECT_EQ(r->items.front(), INT32_MIN);
+bool HasDeviceEntry(const topk::TopKOperator* op) {
+  return op->caps().backend == topk::Backend::kGpuSim &&
+         !op->caps().streams_host_input;
 }
 
-INSTANTIATE_TEST_SUITE_P(Algorithms, BottomKTest,
-                         ::testing::Values(Algorithm::kSort,
-                                           Algorithm::kPerThread,
-                                           Algorithm::kRadixSelect,
-                                           Algorithm::kBucketSelect,
-                                           Algorithm::kBitonic,
-                                           Algorithm::kHybrid),
-                         [](const auto& info) {
-                           return AlgorithmName(info.param);
-                         });
-
-TEST(BottomKTest, KVPayloadsFollowSmallestKeys) {
-  auto keys = GenerateFloats(1 << 14, Distribution::kUniform, 23);
+std::vector<KV> KeysWithIndexPayload(const std::vector<float>& keys) {
   std::vector<KV> data(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     data[i] = KV{keys[i], static_cast<uint32_t>(i)};
   }
-  simt::Device dev;
-  auto r = TopK(dev, data.data(), data.size(), 16, Algorithm::kBitonic,
-                SortOrder::kSmallest);
-  ASSERT_TRUE(r.ok()) << r.status();
-  for (const KV& kv : r->items) {
-    EXPECT_EQ(data[kv.value].key, kv.key);
+  return data;
+}
+
+// Bottom-k of `data` through the host entry and, for operators with a
+// device-resident entry, through BottomKDevice on a staged copy.
+template <typename E>
+std::vector<gpu::TopKResult<E>> RunBottomK(const topk::TopKOperator* op,
+                                           const std::vector<E>& data,
+                                           size_t k) {
+  std::vector<gpu::TopKResult<E>> out;
+  simt::Device host_dev;
+  auto r = op->BottomKHost(host_dev, data.data(), data.size(), k);
+  EXPECT_TRUE(r.ok()) << op->name() << " host: " << r.status();
+  if (r.ok()) out.push_back(std::move(r).value());
+  if (HasDeviceEntry(op)) {
+    simt::Device dev;
+    auto buf = dev.Alloc<E>(data.size());
+    EXPECT_TRUE(buf.ok());
+    if (!buf.ok()) return out;
+    EXPECT_TRUE(dev.CopyToDevice(*buf, data.data(), data.size()).ok());
+    auto d = op->BottomKDevice(dev, *buf, data.size(), k);
+    EXPECT_TRUE(d.ok()) << op->name() << " device: " << d.status();
+    if (d.ok()) out.push_back(std::move(d).value());
   }
-  auto expect = ReferenceBottom(data, 16);
-  for (size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(r->items[i].key, expect[i].key);
+  return out;
+}
+
+class BottomKTest
+    : public ::testing::TestWithParam<const topk::TopKOperator*> {};
+
+TEST_P(BottomKTest, FloatsAscending) {
+  const topk::TopKOperator* op = GetParam();
+  auto data = GenerateFloats(kN, Distribution::kUniform, 21);
+  const auto expect = ReferenceBottom(data, 32);
+  const auto runs = RunBottomK(op, data, 32);
+  EXPECT_EQ(runs.size(), HasDeviceEntry(op) ? 2u : 1u);
+  for (const auto& r : runs) {
+    ASSERT_EQ(r.items.size(), 32u);
+    for (size_t i = 0; i < 32; ++i) {
+      EXPECT_EQ(r.items[i], expect[i]) << op->name() << " rank " << i;
+    }
   }
 }
 
-TEST(BottomKTest, LargestDefaultUnchanged) {
-  auto data = GenerateFloats(4096, Distribution::kUniform, 24);
-  simt::Device d1, d2;
-  auto a = TopK(d1, data.data(), data.size(), 8);
-  auto b = TopK(d2, data.data(), data.size(), 8, Algorithm::kBitonic,
-                SortOrder::kLargest);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->items, b->items);
+TEST_P(BottomKTest, SignedIntsIncludingMin) {
+  const topk::TopKOperator* op = GetParam();
+  auto data = GenerateI32(kN, Distribution::kUniform, 22);
+  data[100] = INT32_MIN;  // ~x must handle the extremes
+  data[200] = INT32_MAX;
+  const auto expect = ReferenceBottom(data, 16);
+  for (const auto& r : RunBottomK(op, data, 16)) {
+    EXPECT_EQ(r.items, expect) << op->name();
+    EXPECT_EQ(r.items.front(), INT32_MIN) << op->name();
+  }
+}
+
+TEST_P(BottomKTest, KVPayloadsFollowSmallestKeys) {
+  const topk::TopKOperator* op = GetParam();
+  ASSERT_TRUE(op->SupportsElem<KV>()) << op->name();
+  const auto data =
+      KeysWithIndexPayload(GenerateFloats(kN, Distribution::kUniform, 23));
+  const auto expect = ReferenceBottom(data, 16);
+  for (const auto& r : RunBottomK(op, data, 16)) {
+    ASSERT_EQ(r.items.size(), 16u);
+    std::set<uint32_t> payloads;
+    for (size_t i = 0; i < 16; ++i) {
+      const KV& kv = r.items[i];
+      EXPECT_EQ(kv.key, expect[i].key) << op->name() << " rank " << i;
+      ASSERT_LT(kv.value, data.size()) << op->name();
+      EXPECT_EQ(data[kv.value].key, kv.key) << op->name() << " rank " << i;
+      payloads.insert(kv.value);
+    }
+    EXPECT_EQ(payloads.size(), 16u) << op->name() << ": duplicated payload";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Operators, BottomKTest,
+                         ::testing::ValuesIn(BottomKOperators()),
+                         [](const auto& info) {
+                           std::string name = info.param->name();
+                           std::replace(name.begin(), name.end(), ':', '_');
+                           return name;
+                         });
+
+TEST(BottomKRegistryTest, CoversGpuAndCpuBackends) {
+  int gpu = 0, cpu = 0;
+  for (const topk::TopKOperator* op : BottomKOperators()) {
+    (op->caps().backend == topk::Backend::kCpu ? cpu : gpu)++;
+  }
+  EXPECT_GE(gpu, 6);
+  EXPECT_GE(cpu, 3);
+}
+
+TEST(BottomKRegistryTest, ChunkedTopKIsUnimplemented) {
+  const topk::TopKOperator* chunked =
+      topk::FindOperator("ChunkedTopK").value();
+  EXPECT_FALSE(chunked->caps().supports_bottom_k);
+  auto data = GenerateFloats(kN, Distribution::kUniform, 25);
+  simt::Device dev;
+  auto r = chunked->BottomKHost(dev, data.data(), data.size(), 16);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
 }
 
 TEST(BottomKTest, NegationIsInvolution) {
@@ -104,4 +164,4 @@ TEST(BottomKTest, NegationIsInvolution) {
 }
 
 }  // namespace
-}  // namespace mptopk::gpu
+}  // namespace mptopk

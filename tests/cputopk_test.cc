@@ -56,13 +56,13 @@ std::vector<CpuCase> CpuCases() {
   return cases;
 }
 
+// Indexed by CpuAlgorithm.
+constexpr const char* kAlgoNames[] = {"STL_PQ", "Hand_PQ", "CPU_Bitonic"};
+
 INSTANTIATE_TEST_SUITE_P(
     All, CpuSweepTest, ::testing::ValuesIn(CpuCases()), [](const auto& info) {
-      std::string name = CpuAlgorithmName(info.param.algo);
-      for (auto& c : name) {
-        if (c == ' ') c = '_';
-      }
-      return name + "_k" + std::to_string(info.param.k) + "_" +
+      return std::string(kAlgoNames[static_cast<int>(info.param.algo)]) + "_k" +
+             std::to_string(info.param.k) + "_" +
              DistributionName(info.param.dist) + "_t" +
              std::to_string(info.param.threads);
     });

@@ -11,15 +11,14 @@
 #include "common/distributions.h"
 #include "engine/query.h"
 #include "engine/tweets.h"
+#include "gputopk/bitonic_topk.h"
 #include "gputopk/chunked.h"
-#include "gputopk/topk.h"
 #include "planner/resilient.h"
+#include "topk/registry.h"
 
 namespace mptopk {
 namespace {
 
-using gpu::Algorithm;
-using gpu::AlgorithmName;
 using simt::FaultPlan;
 using simt::FaultPlanConfig;
 
@@ -170,7 +169,8 @@ TEST(FailureInjectionTest, AllocationReleasedAfterFailure) {
   }
   // RAII must return every byte, so the device is reusable.
   EXPECT_EQ(dev.allocated_bytes(), before);
-  auto r2 = gpu::TopK(dev, data.data(), 256, 8);
+  auto r2 = topk::FindOperator("BitonicTopK").value()->TopKHost(
+      dev, data.data(), 256, 8);
   EXPECT_TRUE(r2.ok()) << r2.status();
 }
 
@@ -184,9 +184,8 @@ TEST(FaultCampaignTest, AllocSweepEveryAlgorithm) {
   const size_t k = 32;
   auto data = GenerateFloats(n, Distribution::kUniform);
   const auto ref = TopKReference(data, k);
-  for (Algorithm algo :
-       {Algorithm::kSort, Algorithm::kPerThread, Algorithm::kRadixSelect,
-        Algorithm::kBucketSelect, Algorithm::kBitonic, Algorithm::kHybrid}) {
+  for (const topk::TopKOperator* op :
+       topk::GpuSweepOperators(/*include_extensions=*/true)) {
     // Calibrate: count the algorithm's allocations under a no-fault plan.
     int allocs = 0;
     {
@@ -194,11 +193,11 @@ TEST(FaultCampaignTest, AllocSweepEveryAlgorithm) {
       auto buf = dev.Alloc<float>(n).value();
       ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
       auto plan = Install(dev, FaultPlanConfig{});
-      auto r = gpu::TopKDevice(dev, buf, n, k, algo);
-      ASSERT_TRUE(r.ok()) << AlgorithmName(algo) << ": " << r.status();
+      auto r = op->TopKDevice(dev, buf, n, k);
+      ASSERT_TRUE(r.ok()) << op->name() << ": " << r.status();
       allocs = plan->stats().allocs_seen;
     }
-    ASSERT_GT(allocs, 0) << AlgorithmName(algo);
+    ASSERT_GT(allocs, 0) << op->name();
     for (int i = 1; i <= allocs; ++i) {
       simt::Device dev;
       auto buf = dev.Alloc<float>(n).value();
@@ -207,15 +206,15 @@ TEST(FaultCampaignTest, AllocSweepEveryAlgorithm) {
       cfg.fail_alloc_index = i;
       Install(dev, cfg);
       const size_t before = dev.allocated_bytes();
-      auto r = gpu::TopKDevice(dev, buf, n, k, algo);
+      auto r = op->TopKDevice(dev, buf, n, k);
       if (r.ok()) {
-        ASSERT_EQ(r->items.size(), k) << AlgorithmName(algo) << " alloc " << i;
+        ASSERT_EQ(r->items.size(), k) << op->name() << " alloc " << i;
         EXPECT_EQ(r->items.front(), ref.front());
       } else {
         EXPECT_FALSE(r.status().message().empty());
       }
       EXPECT_EQ(dev.allocated_bytes(), before)
-          << AlgorithmName(algo) << " leaked after failing alloc " << i;
+          << op->name() << " leaked after failing alloc " << i;
     }
   }
 }
