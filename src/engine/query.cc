@@ -472,30 +472,6 @@ StatusOr<TopKResult<KV>> ResilientStep(const simt::ExecCtx& dev,
   return top;
 }
 
-// Enables the device race checker for the duration of one query and restores
-// its previous state on exit; Capture reports the hazards attributable to
-// this query (delta against the device-wide accumulated report).
-class RacecheckScope {
- public:
-  RacecheckScope(simt::Device& dev, bool enable)
-      : dev_(dev), prev_(dev.racecheck()),
-        baseline_(dev.race_report().hazard_count) {
-    if (enable) dev_.set_racecheck(true);
-  }
-  ~RacecheckScope() { dev_.set_racecheck(prev_); }
-
-  void Capture(uint64_t* hazards, std::string* summary) const {
-    if (!dev_.racecheck()) return;
-    *hazards = dev_.race_report().hazard_count - baseline_;
-    *summary = dev_.race_report().Summary();
-  }
-
- private:
-  simt::Device& dev_;
-  bool prev_;
-  uint64_t baseline_;
-};
-
 }  // namespace
 
 StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
@@ -506,7 +482,6 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
   if (k == 0) return Status::InvalidArgument("k must be positive");
   simt::ExecCtx default_ctx(*table.device());
   const simt::ExecCtx& dev = exec.ctx != nullptr ? *exec.ctx : default_ctx;
-  RacecheckScope racecheck(dev.device(), exec.racecheck);
   const size_t n = table.num_rows();
   MPTOPK_ASSIGN_OR_RETURN(const Column* id_col_ptr,
                           table.GetColumn(id_column));
@@ -551,7 +526,6 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
       empty.kernel_ms = tracker.ElapsedMs();
       empty.end_to_end_ms = empty.kernel_ms + (dev.pcie_ms() - pcie_start);
       empty.kernels_launched = tracker.Launches();
-      racecheck.Capture(&empty.race_hazards, &empty.racecheck_summary);
       return empty;
     }
     auto reduced = gpu::BitonicReduceRuns(dev, cand, emitted, k2);
@@ -579,7 +553,6 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
       empty.kernel_ms = tracker.ElapsedMs();
       empty.end_to_end_ms = empty.kernel_ms + (dev.pcie_ms() - pcie_start);
       empty.kernels_launched = tracker.Launches();
-      racecheck.Capture(&empty.race_hazards, &empty.racecheck_summary);
       return empty;
     }
     const size_t k_eff = std::min(k, matched);
@@ -627,7 +600,6 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
   result.end_to_end_ms = result.kernel_ms + (dev.pcie_ms() - pcie_start);
   result.kernels_launched = tracker.Launches();
   result.resilience_summary = std::move(resilience_summary);
-  racecheck.Capture(&result.race_hazards, &result.racecheck_summary);
   return result;
 }
 
@@ -638,7 +610,6 @@ StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
   if (k == 0) return Status::InvalidArgument("k must be positive");
   simt::ExecCtx default_ctx(*table.device());
   const simt::ExecCtx& dev = exec.ctx != nullptr ? *exec.ctx : default_ctx;
-  RacecheckScope racecheck(dev.device(), exec.racecheck);
   const size_t n = table.num_rows();
   MPTOPK_ASSIGN_OR_RETURN(const Column* gcol, table.GetColumn(group_column));
   if (gcol->type != ColumnType::kInt32) {
@@ -674,7 +645,6 @@ StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
   if (num_groups == 0) {
     result.kernel_ms = tracker.ElapsedMs();
     result.kernels_launched = tracker.Launches();
-    racecheck.Capture(&result.race_hazards, &result.racecheck_summary);
     return result;
   }
   const size_t k_eff = std::min<size_t>(k, num_groups);
@@ -699,7 +669,6 @@ StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
   }
   result.kernel_ms = tracker.ElapsedMs();
   result.kernels_launched = tracker.Launches();
-  racecheck.Capture(&result.race_hazards, &result.racecheck_summary);
   return result;
 }
 

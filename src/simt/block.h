@@ -45,9 +45,9 @@ class Block {
     size_t bytes = n * sizeof(T);
     shared_used_ = offset + bytes;
     if (shared_used_ > shared_arena_.size()) {
-      // Over-allocation: the launcher reports kResourceExhausted as soon as
-      // this block body returns. Serve the span from a stable overflow
-      // buffer so the rest of the body stays memory-safe until then.
+      // Over-allocation: the launcher reports kResourceExhausted once the
+      // launch joins. Serve the span from a stable overflow buffer so the
+      // rest of the body stays memory-safe until it returns.
       overflow_.emplace_back(bytes + 16);
       auto raw = reinterpret_cast<uintptr_t>(overflow_.back().data());
       auto aligned = (raw + 15) & ~uintptr_t{15};
@@ -110,9 +110,9 @@ class Block {
   // --- Launcher interface ---------------------------------------------------
 
   /// Re-targets this context at block `block_idx`, tracing into `tracer`
-  /// (may be null). Under a parallel launch `order` carries the launch's
-  /// block-completion turnstile (null on the sequential path). Resets
-  /// shared/scratch arenas and thread state.
+  /// (may be null). `order` carries the launch's block-completion
+  /// turnstile (null outside a Device launch). Resets shared/scratch arenas
+  /// and thread state.
   void ResetFor(int block_idx, BlockTracer* tracer,
                 LaunchOrder* order = nullptr) {
     block_idx_ = block_idx;

@@ -32,6 +32,7 @@
 #define MPTOPK_SIMT_DEVICE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -82,7 +83,7 @@ class Device {
  public:
   explicit Device(DeviceSpec spec = DeviceSpec::TitanXMaxwell())
       : spec_(std::move(spec)),
-        racecheck_(spec_.racecheck || RacecheckEnvEnabled()),
+        racecheck_(RacecheckEnvEnabled()),
         host_workers_(spec_.host_workers > 0 ? spec_.host_workers
                                              : DefaultHostWorkers()),
         default_stream_(0, "default") {}
@@ -204,64 +205,46 @@ class Device {
 
     KernelStats stats;
     stats.name = cfg.name;
-    size_t shared_used = 0;
+    // Shard blocks round-robin over W workers, each with its own
+    // Block/BlockTracer and local accumulators, and merge in block order
+    // after the join, so every metric, race report and timing is
+    // bit-identical for every worker count (see simt/workers.h for the
+    // atomics/turnstile contract that makes the traces themselves
+    // worker-count-invariant). One worker runs the blocks inline in order.
+    struct WorkerCtx {
+      WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg,
+                bool keep_log)
+          : block(spec, cfg.grid_dim, cfg.block_dim),
+            tracer(spec, cfg.block_dim, keep_log) {}
+      Block block;
+      BlockTracer tracer;
+      KernelMetrics metrics;
+      size_t shared_used = 0;
+      std::vector<std::pair<int, RaceReport>> race;  // per traced block
+    };
     const int workers = std::min(host_workers_, cfg.grid_dim);
-    if (workers <= 1) {
-      // Sequential path: the exact legacy loop (workers=1 contract).
-      Block block(spec_, cfg.grid_dim, cfg.block_dim);
-      BlockTracer tracer(spec_, cfg.block_dim, racecheck_);
-      for (int b = 0; b < cfg.grid_dim; ++b) {
-        bool traced = (b % stride) == 0;
-        if (traced) tracer.Reset(cfg.block_dim);
-        block.ResetFor(b, traced ? &tracer : nullptr);
-        body(block);
-        shared_used = std::max(shared_used, block.shared_bytes_used());
-        if (shared_used > spec_.shared_mem_per_block) {
-          return Status::ResourceExhausted(
-              std::string(cfg.name) + ": block shared memory " +
-              std::to_string(shared_used) + " B exceeds device limit " +
-              std::to_string(spec_.shared_mem_per_block) + " B");
-        }
-        if (traced) {
-          tracer.Analyze(&stats.metrics);
-          if (racecheck_) {
-            RaceChecker::CheckBlock(tracer, spec_, stats.name, b, &stats.race);
-          }
-        }
-      }
-    } else {
-      // Parallel path: shard blocks round-robin over W workers, each with
-      // its own Block/BlockTracer and local accumulators; merge in block
-      // order after the join so every metric, race report and timing is
-      // bit-identical to the sequential loop (see simt/workers.h for the
-      // atomics/turnstile contract that makes the traces themselves
-      // worker-count-invariant).
-      struct WorkerCtx {
-        WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg,
-                  bool keep_log)
-            : block(spec, cfg.grid_dim, cfg.block_dim),
-              tracer(spec, cfg.block_dim, keep_log) {}
-        Block block;
-        BlockTracer tracer;
-        KernelMetrics metrics;
-        size_t shared_used = 0;
-        std::vector<std::pair<int, RaceReport>> race;  // per traced block
-      };
-      std::vector<std::unique_ptr<WorkerCtx>> ctx;
-      ctx.reserve(workers);
-      for (int w = 0; w < workers; ++w) {
-        ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg, racecheck_));
-      }
-      LaunchOrder order(cfg.grid_dim);
-      const std::function<void(int, int)> run = [&](int w, int b) {
-        WorkerCtx& cx = *ctx[w];
+    std::vector<std::unique_ptr<WorkerCtx>> ctx;
+    ctx.reserve(workers);
+    for (int w = 0; w < workers; ++w) {
+      ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg, racecheck_));
+    }
+    LaunchOrder order(cfg.grid_dim);
+    // Set by the first block that overflows shared memory; blocks that have
+    // not started yet then skip their body (one worker stops after that
+    // block) but still pass the turnstile.
+    std::atomic<bool> overflowed{false};
+    const std::function<void(int, int)> run = [&](int w, int b) {
+      WorkerCtx& cx = *ctx[w];
+      if (!overflowed.load(std::memory_order_relaxed)) {
         bool traced = (b % stride) == 0;
         if (traced) cx.tracer.Reset(cfg.block_dim);
         cx.block.ResetFor(b, traced ? &cx.tracer : nullptr, &order);
         body(cx.block);
         size_t used = cx.block.shared_bytes_used();
         cx.shared_used = std::max(cx.shared_used, used);
-        if (traced && used <= spec_.shared_mem_per_block) {
+        if (used > spec_.shared_mem_per_block) {
+          overflowed.store(true, std::memory_order_relaxed);
+        } else if (traced) {
           cx.tracer.Analyze(&cx.metrics);
           if (racecheck_) {
             cx.race.emplace_back(b, RaceReport{});
@@ -269,39 +252,39 @@ class Device {
                                     &cx.race.back().second);
           }
         }
-        order.MarkDone(b);
-      };
-      BlockWorkers::Instance().Run(workers, cfg.grid_dim, run);
+      }
+      order.MarkDone(b);
+    };
+    BlockWorkers::Instance().Run(workers, cfg.grid_dim, run);
 
-      for (const auto& c : ctx) {
-        shared_used = std::max(shared_used, c->shared_used);
+    size_t shared_used = 0;
+    for (const auto& c : ctx) {
+      shared_used = std::max(shared_used, c->shared_used);
+    }
+    if (shared_used > spec_.shared_mem_per_block) {
+      // All kernels in this library allocate shared memory uniformly per
+      // block, so the peak is the first failing block's usage whichever
+      // blocks ran before the flag was seen.
+      return Status::ResourceExhausted(
+          std::string(cfg.name) + ": block shared memory " +
+          std::to_string(shared_used) + " B exceeds device limit " +
+          std::to_string(spec_.shared_mem_per_block) + " B");
+    }
+    // Metric counters are all uint64 and Analyze only accumulates, so
+    // summing per-worker locals in any order gives the same totals.
+    for (const auto& c : ctx) stats.metrics += c->metrics;
+    if (racecheck_) {
+      // Race reports cap recorded hazards, so merge order matters:
+      // restore block order across workers.
+      std::vector<std::pair<int, RaceReport>*> reports;
+      for (auto& c : ctx) {
+        for (auto& r : c->race) reports.push_back(&r);
       }
-      if (shared_used > spec_.shared_mem_per_block) {
-        // All kernels in this library allocate shared memory uniformly per
-        // block, so the peak equals the sequential loop's first-failure
-        // usage and the message matches the workers=1 path.
-        return Status::ResourceExhausted(
-            std::string(cfg.name) + ": block shared memory " +
-            std::to_string(shared_used) + " B exceeds device limit " +
-            std::to_string(spec_.shared_mem_per_block) + " B");
-      }
-      // Metric counters are all uint64 and Analyze only accumulates, so
-      // summing per-worker locals in any order reproduces the sequential
-      // totals exactly.
-      for (const auto& c : ctx) stats.metrics += c->metrics;
-      if (racecheck_) {
-        // Race reports cap recorded hazards, so merge order matters:
-        // restore block order across workers.
-        std::vector<std::pair<int, RaceReport>*> reports;
-        for (auto& c : ctx) {
-          for (auto& r : c->race) reports.push_back(&r);
-        }
-        std::sort(reports.begin(), reports.end(),
-                  [](const auto* a, const auto* b) {
-                    return a->first < b->first;
-                  });
-        for (const auto* r : reports) stats.race.Merge(r->second);
-      }
+      std::sort(reports.begin(), reports.end(),
+                [](const auto* a, const auto* b) {
+                  return a->first < b->first;
+                });
+      for (const auto* r : reports) stats.race.Merge(r->second);
     }
     race_report_.Merge(stats.race);
     stats.metrics.blocks_launched = cfg.grid_dim;
@@ -353,8 +336,6 @@ class Device {
     return streams_.back().get();
   }
   Stream& default_stream() { return default_stream_; }
-  /// Number of streams including the default stream.
-  int stream_count() const { return static_cast<int>(streams_.size()) + 1; }
 
   /// Wall-clock of the overlapped schedule: the furthest point any stream's
   /// clock has reached (compare with total_sim_ms(), the busy sum).
@@ -373,23 +354,22 @@ class Device {
   /// performance only: simulated metrics and timings are bit-identical for
   /// every count — pinned by tests/parallel_launch_test.cc). Initialized
   /// from DeviceSpec::host_workers, falling back to the MPTOPK_WORKERS
-  /// environment variable / bench --workers override, then
-  /// min(hardware_concurrency, 8). 1 = the legacy sequential loop.
+  /// environment variable, then min(hardware_concurrency, 8). One worker
+  /// runs the blocks inline on the calling thread.
   void set_host_workers(int workers) {
     host_workers_ = workers < 1 ? 1 : workers;
   }
   int host_workers() const { return host_workers_; }
 
   /// Toggles the barrier-epoch race checker for subsequent launches (see
-  /// simt/racecheck.h). Initialized from DeviceSpec::racecheck or the
-  /// MPTOPK_RACECHECK environment variable. Only traced blocks are checked,
-  /// so under trace sampling raise set_trace_sample_target for coverage.
+  /// simt/racecheck.h). Initialized from the MPTOPK_RACECHECK environment
+  /// variable. Only traced blocks are checked, so under trace sampling
+  /// raise set_trace_sample_target for coverage.
   void set_racecheck(bool on) { racecheck_ = on; }
   bool racecheck() const { return racecheck_; }
-  /// Hazards accumulated across every checked launch since construction /
-  /// ClearRaceReport (per-launch reports are on KernelStats::race).
+  /// Hazards accumulated across every checked launch since construction
+  /// (per-launch reports are on KernelStats::race).
   const RaceReport& race_report() const { return race_report_; }
-  void ClearRaceReport() { race_report_ = RaceReport{}; }
 
   /// Installs (or clears, with nullptr) a deterministic fault plan consulted
   /// by Alloc / CopyToDevice / CopyToHost / Launch. The device shares
@@ -432,8 +412,6 @@ class Device {
   uint64_t pool_reuse_count() const { return pool_reuse_count_; }
   /// Rounded bytes currently parked in the free list.
   size_t pooled_free_bytes() const { return pooled_free_bytes_; }
-  /// Device-wide arena (allocations not charged to a caller arena).
-  const MemoryArena& device_arena() const { return device_arena_; }
 
   /// Pooling is on by default. Disabling it makes Release a no-op — freed
   /// bytes stay charged and addresses are never reused — which is the
@@ -509,6 +487,7 @@ class Device {
   uint64_t next_addr_ = kBaseAddr;
   /// Free blocks by rounded size (exact size-class reuse).
   std::map<size_t, std::vector<uint64_t>> free_blocks_;
+  /// Charged by allocations that name no caller arena.
   MemoryArena device_arena_{"device"};
 
   int trace_sample_target_ = 0;

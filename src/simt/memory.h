@@ -96,74 +96,41 @@ class GlobalSpan {
   }
 
   /// Atomic read-modify-write add, returning the old value (CUDA atomicAdd,
-  /// PTX `atom`). Under a parallel launch the return value is made
-  /// sequential-equivalent by the LaunchOrder turnstile: block b's call
-  /// waits until blocks 0..b-1 completed, so reserved offsets — and every
-  /// address/trace derived from them — match the workers=1 run exactly.
-  /// When the return value is not needed, use ReduceAdd, which stays fully
-  /// concurrent.
+  /// PTX `atom`). The return value is made block-ordered by the
+  /// LaunchOrder turnstile: block b's call waits until blocks 0..b-1
+  /// completed, so reserved offsets — and every address/trace derived from
+  /// them — are the same for every worker count. When the return value is
+  /// not needed, use ReduceAdd, which stays fully concurrent.
   T AtomicAdd(Thread& t, size_t i, T v) const {
     assert(i < size_);
     Record(t, i);
-    if (t.order != nullptr) {
-      t.order->AwaitTurn(t.block_idx);
-      return std::atomic_ref<T>(data_[i]).fetch_add(
-          v, std::memory_order_relaxed);
-    }
-    T old = data_[i];
-    data_[i] = old + v;
-    return old;
+    AwaitTurn(t);
+    return Ref(i).fetch_add(v, std::memory_order_relaxed);
   }
 
   T AtomicMax(Thread& t, size_t i, T v) const {
     assert(i < size_);
     Record(t, i);
-    if (t.order != nullptr) {
-      t.order->AwaitTurn(t.block_idx);
-      std::atomic_ref<T> a(data_[i]);
-      T old = a.load(std::memory_order_relaxed);
-      while (v > old &&
-             !a.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-      }
-      return old;
-    }
-    T old = data_[i];
-    if (v > old) data_[i] = v;
-    return old;
+    AwaitTurn(t);
+    return FetchMax(i, v);
   }
 
   /// Atomic compare-and-swap; returns the old value (equal to `expected` on
-  /// success). Turnstiled under a parallel launch like AtomicAdd.
+  /// success). Turnstiled like AtomicAdd.
   T AtomicCas(Thread& t, size_t i, T expected, T desired) const {
     assert(i < size_);
     Record(t, i);
-    if (t.order != nullptr) {
-      t.order->AwaitTurn(t.block_idx);
-      T old = expected;
-      std::atomic_ref<T>(data_[i]).compare_exchange_strong(
-          old, desired, std::memory_order_relaxed);
-      return old;
-    }
-    T old = data_[i];
-    if (old == expected) data_[i] = desired;
+    AwaitTurn(t);
+    T old = expected;
+    Ref(i).compare_exchange_strong(old, desired, std::memory_order_relaxed);
     return old;
   }
 
   T AtomicMin(Thread& t, size_t i, T v) const {
     assert(i < size_);
     Record(t, i);
-    if (t.order != nullptr) {
-      t.order->AwaitTurn(t.block_idx);
-      std::atomic_ref<T> a(data_[i]);
-      T old = a.load(std::memory_order_relaxed);
-      while (v < old &&
-             !a.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-      }
-      return old;
-    }
-    T old = data_[i];
-    if (v < old) data_[i] = v;
-    return old;
+    AwaitTurn(t);
+    return FetchMin(i, v);
   }
 
   /// Atomic add whose result is discarded (CUDA atomicAdd with unused
@@ -178,45 +145,25 @@ class GlobalSpan {
                   "ReduceAdd requires a commutative-exact (integral) type");
     assert(i < size_);
     Record(t, i);
-    if (t.order != nullptr) {
-      std::atomic_ref<T>(data_[i]).fetch_add(v, std::memory_order_relaxed);
-      return;
-    }
-    data_[i] += v;
+    Ref(i).fetch_add(v, std::memory_order_relaxed);
   }
 
   /// Atomic max whose result is discarded; see ReduceAdd.
   void ReduceMax(Thread& t, size_t i, T v) const {
     assert(i < size_);
     Record(t, i);
-    if (t.order != nullptr) {
-      std::atomic_ref<T> a(data_[i]);
-      T old = a.load(std::memory_order_relaxed);
-      while (v > old &&
-             !a.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-      }
-      return;
-    }
-    if (v > data_[i]) data_[i] = v;
+    FetchMax(i, v);
   }
 
   /// Atomic min whose result is discarded; see ReduceAdd.
   void ReduceMin(Thread& t, size_t i, T v) const {
     assert(i < size_);
     Record(t, i);
-    if (t.order != nullptr) {
-      std::atomic_ref<T> a(data_[i]);
-      T old = a.load(std::memory_order_relaxed);
-      while (v < old &&
-             !a.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-      }
-      return;
-    }
-    if (v < data_[i]) data_[i] = v;
+    FetchMin(i, v);
   }
 
  private:
-  /// The one trace record all six atomics share (write + atomic), so a
+  /// The one trace record all seven atomics share (write + atomic), so a
   /// Reduce* migration cannot change metrics.
   void Record(Thread& t, size_t i) const {
     if (t.tracer != nullptr) {
@@ -224,6 +171,34 @@ class GlobalSpan {
                              device_addr_ + i * sizeof(T), sizeof(T), true,
                              /*atomic=*/true);
     }
+  }
+
+  /// Waits for the turnstile of the launch running this thread. `order` is
+  /// null only for a Block driven outside Device::LaunchOnStream.
+  static void AwaitTurn(const Thread& t) {
+    if (t.order != nullptr) t.order->AwaitTurn(t.block_idx);
+  }
+
+  std::atomic_ref<T> Ref(size_t i) const {
+    return std::atomic_ref<T>(data_[i]);
+  }
+
+  T FetchMax(size_t i, T v) const {
+    std::atomic_ref<T> a = Ref(i);
+    T old = a.load(std::memory_order_relaxed);
+    while (v > old &&
+           !a.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
+    }
+    return old;
+  }
+
+  T FetchMin(size_t i, T v) const {
+    std::atomic_ref<T> a = Ref(i);
+    T old = a.load(std::memory_order_relaxed);
+    while (v < old &&
+           !a.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
+    }
+    return old;
   }
 
   T* data_ = nullptr;

@@ -65,9 +65,11 @@ void MaybeHazard(const Rec& x, const Rec& y, int warp_size,
 // (epoch, addr) and walks runs of identical (epoch, addr); `active` carries
 // earlier records of the epoch whose byte range still reaches the current
 // run (only possible with mixed access sizes, so it is almost always empty).
-// Runs without a write are skipped wholesale — that keeps the broadcast
-// patterns (every thread reading one shared word) linear instead of
-// quadratic.
+// Pairs within a run are enumerated only when the run holds a write and a
+// non-atomic access: read-only runs (broadcasts: every thread reading one
+// shared word) and atomic-only runs (histogram bins, which radix select
+// hits thousands of times per epoch) cannot conflict, and skipping them
+// keeps those patterns linear instead of quadratic.
 void CheckSpace(const std::vector<std::vector<BlockTracer::Access>>& per_tid,
                 int block_dim, int warp_size, RaceHazard::Space space,
                 const std::string& kernel, int block_idx, RaceReport* report) {
@@ -100,9 +102,11 @@ void CheckSpace(const std::vector<std::vector<BlockTracer::Access>>& per_tid,
     const uint64_t addr = recs[i].addr;
     size_t j = i;
     bool any_write = false;
+    bool any_plain = false;
     while (j < recs.size() && recs[j].epoch == cur_epoch &&
            recs[j].addr == addr) {
       any_write |= recs[j].write;
+      any_plain |= !recs[j].atomic;
       ++j;
     }
 
@@ -116,7 +120,7 @@ void CheckSpace(const std::vector<std::vector<BlockTracer::Access>>& per_tid,
         MaybeHazard(a, recs[k], warp_size, space, kernel, block_idx, report);
       }
     }
-    if (any_write) {
+    if (any_write && any_plain) {
       for (size_t p = i; p < j; ++p) {
         for (size_t q = p + 1; q < j; ++q) {
           if (!recs[p].write && !recs[q].write) continue;

@@ -23,8 +23,8 @@
 // (Device::set_trace_sample_target) the untraced blocks are invisible,
 // which is sound for this library's block-homogeneous kernels.
 //
-// Enabled per device (DeviceSpec::racecheck, Device::set_racecheck, or the
-// MPTOPK_RACECHECK environment variable); when off, the tracer keeps no
+// Enabled per device (Device::set_racecheck, or the MPTOPK_RACECHECK
+// environment variable for every Device); when off, the tracer keeps no
 // per-thread access log at all. Epochs never feed the timing model —
 // simulated timings are bit-identical either way. See docs/racecheck.md.
 #ifndef MPTOPK_SIMT_RACECHECK_H_

@@ -23,9 +23,9 @@ struct Thread {
   uint32_t global_seq = 0;
   uint32_t shared_seq = 0;
 
-  // Parallel-launch state (null on the sequential workers=1 path). Set, the
-  // global spans execute atomics as real RMWs, and value-returning ones
-  // turnstile on `order` for sequential-equivalent results (simt/workers.h).
+  // Launch state: value-returning global atomics wait on `order`'s
+  // turnstile for block-ordered results (simt/workers.h). Null only when a
+  // Block runs outside Device::LaunchOnStream.
   LaunchOrder* order = nullptr;
   int block_idx = 0;  ///< Block this thread currently belongs to.
 };

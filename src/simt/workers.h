@@ -2,9 +2,11 @@
 //
 // Device::LaunchOnStream shards the grid over W persistent host threads
 // (`BlockWorkers`), worker w running blocks w, w+W, w+2W, ... in increasing
-// order, each with its own Block / BlockTracer context. Simulated time is
-// derived purely from traced metrics, so parallel execution must only keep
-// the *traces* identical to the sequential loop — which it does:
+// order, each with its own Block / BlockTracer context (one worker runs the
+// grid inline on the calling thread). Simulated time is derived purely from
+// traced metrics, so parallel execution must only keep the *traces*
+// identical to running the blocks one after another in index order — which
+// it does:
 //
 //  * Per-block state (shared memory, scratch, tracer) is per-worker; traced
 //    addresses and sequence numbers depend only on the block index.
@@ -15,7 +17,7 @@
 //  * Value-returning global atomics (AtomicAdd/Max/Min/Cas) pass through a
 //    `LaunchOrder` turnstile: block b's first such atomic waits until blocks
 //    0..b-1 have completed, so every returned value — and therefore every
-//    downstream address, trace and metric — is exactly the sequential one.
+//    downstream address, trace and metric — is the in-order one.
 //  * Void-returning reduction atomics (ReduceAdd/Min/Max) are real relaxed
 //    RMWs with no ordering wait; they are restricted to commutative
 //    integer updates whose final value is interleaving-independent and
@@ -39,7 +41,7 @@
 namespace mptopk::simt {
 
 /// Per-launch turnstile giving value-returning global atomics their
-/// sequential block order. `AwaitTurn(b)` blocks until all blocks < b have
+/// block-index order. `AwaitTurn(b)` blocks until all blocks < b have
 /// completed; `MarkDone(b)` is called by the launcher after each block body
 /// returns (in increasing order per worker). The common case — a kernel
 /// with no value-returning atomics — never touches the slow path.
@@ -87,7 +89,8 @@ class BlockWorkers {
 
   /// Runs `fn(worker, block)` for every block in [0, grid_dim): worker w
   /// executes blocks w, w+workers, ... in increasing order (required by
-  /// LaunchOrder). Returns after all blocks complete. Launches from
+  /// LaunchOrder). Returns after all blocks complete. One worker runs the
+  /// grid inline without waking the pool; multi-worker launches from
   /// different host threads serialize on an internal mutex.
   void Run(int workers, int grid_dim,
            const std::function<void(int, int)>& fn);
@@ -113,15 +116,9 @@ class BlockWorkers {
 };
 
 /// Resolves the default worker count for a new Device when
-/// DeviceSpec::host_workers == 0: the SetHostWorkersOverride value if set
-/// (bench --workers), else the MPTOPK_WORKERS environment variable, else
-/// min(hardware_concurrency, 8). Always >= 1.
+/// DeviceSpec::host_workers == 0: the MPTOPK_WORKERS environment variable,
+/// else min(hardware_concurrency, 8). Always >= 1.
 int DefaultHostWorkers();
-
-/// Process-wide override consulted by DefaultHostWorkers (0 clears it).
-/// Used by the bench binaries' --workers flag so every Device they
-/// construct picks it up.
-void SetHostWorkersOverride(int workers);
 
 }  // namespace mptopk::simt
 

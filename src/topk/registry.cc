@@ -35,10 +35,6 @@ Status TopKOperator::CheckShape(size_t n, size_t k) const {
         name_ + ": require 1 <= k <= n (k=" + std::to_string(k) +
         ", n=" + std::to_string(n) + ")");
   }
-  if (n < caps_.min_n) {
-    return Status::InvalidArgument(name_ + ": require n >= " +
-                                   std::to_string(caps_.min_n));
-  }
   if (caps_.pow2_k_only && !IsPowerOfTwo(k)) {
     return Status::InvalidArgument(name_ + " requires power-of-two k (k=" +
                                    std::to_string(k) + ")");
@@ -319,14 +315,7 @@ class BucketSelectOperator final : public TopKOperator {
 
 class BitonicOperator final : public TopKOperator {
  public:
-  BitonicOperator() : TopKOperator("BitonicTopK", Caps()) {}
-
- private:
-  static OperatorCaps Caps() {
-    OperatorCaps c = GpuCaps(&BitonicCost);
-    c.rounds_k_up = true;
-    return c;
-  }
+  BitonicOperator() : TopKOperator("BitonicTopK", GpuCaps(&BitonicCost)) {}
 
  protected:
 #define MPTOPK_X(T, EN, NAME)                                               \
@@ -348,7 +337,6 @@ class HybridOperator final : public TopKOperator {
  private:
   static OperatorCaps Caps() {
     OperatorCaps c = GpuCaps(&HybridCost);
-    c.rounds_k_up = true;
     c.extension = true;
     return c;
   }
@@ -376,7 +364,6 @@ class ChunkedOperator final : public TopKOperator {
     c.backend = Backend::kGpuSim;
     c.elem_types = kChunkedElemTypes;
     c.streams_host_input = true;
-    c.rounds_k_up = true;       // the per-chunk reduction is bitonic
     c.supports_bottom_k = false;  // no staged full-input negate pass
     return c;
   }
@@ -421,7 +408,6 @@ class CpuOperator final : public TopKOperator {
     c.elem_types = kCpuElemTypes;
     c.pow2_k_only = pow2_only;
     c.max_k = max_k;
-    c.retry_transient = false;  // host execution has no transient faults
     c.fallback_rank = fallback_rank;
     c.cost_ms = cost;
     return c;

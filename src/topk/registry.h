@@ -99,20 +99,15 @@ struct OperatorCaps {
   /// Bitmask of ElemBit(ElemType) values this operator is compiled for.
   uint32_t elem_types = kAllElemTypes;
   /// Requires power-of-two k at the call boundary (e.g. the CPU bitonic
-  /// network). Operators that internally round k up instead set rounds_k_up.
+  /// network). The GPU bitonic operators instead round k up internally and
+  /// trim the result.
   bool pow2_k_only = false;
   /// Largest supported k (0 = no static cap; dynamic limits such as
   /// per-thread shared-memory exhaustion surface as kResourceExhausted).
   size_t max_k = 0;
-  /// Smallest supported n (1 for every built-in).
-  size_t min_n = 1;
-  /// Rounds a non-power-of-two k up internally and trims the result.
-  bool rounds_k_up = false;
   /// Consumes host-resident input in streamed chunks (no device-resident
   /// entry point); the resilient executor's degrade stage.
   bool streams_host_input = false;
-  /// Transient faults (kUnavailable) are worth retrying with backoff.
-  bool retry_transient = true;
   /// Beyond the paper's core algorithm set (Section 8 future work); the
   /// planner only considers extensions when asked to.
   bool extension = false;
@@ -159,7 +154,7 @@ class TopKOperator {
   /// Validates an (element type, n, k) request against the caps. Every
   /// violation is kInvalidArgument — never a wrong answer.
   Status CheckCaps(ElemType t, size_t n, size_t k) const;
-  /// The (n, k) part of CheckCaps: 1 <= k <= n, min_n, pow2_k_only, max_k.
+  /// The (n, k) part of CheckCaps: 1 <= k <= n, pow2_k_only, max_k.
   Status CheckShape(size_t n, size_t k) const;
 
   /// Predicted cost in ms for the workload; negative when infeasible or the

@@ -1,14 +1,16 @@
 // The parallel block launcher's determinism contract (simt/workers.h):
 // for every worker count, simulated metrics, timings, race accounting and
-// canonical top-k results must be bit-identical to the sequential
-// workers=1 loop. Sweeps every algorithm, the chunked executor and the
-// query engine across workers in {1, 2, 7, 8} (7 catches shard-boundary
-// bugs), stress-tests the global-atomic turnstile, and runs a compact
-// differential sweep at 4 workers. The TSan CI leg runs this binary with
-// MPTOPK_WORKERS=4 to prove the launcher data-race-free.
+// canonical top-k results must be bit-identical to the one-worker run,
+// which executes the blocks inline in index order. Sweeps every algorithm,
+// the chunked executor and the query engine across workers in {1, 2, 7, 8}
+// (7 catches shard-boundary bugs), stress-tests the global-atomic
+// turnstile, and runs a compact differential sweep at 4 workers. The TSan
+// CI leg runs this binary with MPTOPK_WORKERS=4 to prove the launcher
+// data-race-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
@@ -201,26 +203,22 @@ TEST(ParallelLaunch, WorkerCountResolution) {
     EXPECT_EQ(dev.host_workers(), 3);
     ::unsetenv("MPTOPK_WORKERS");
   }
-  {
-    // The bench --workers override outranks the environment.
-    ::setenv("MPTOPK_WORKERS", "3", 1);
-    simt::SetHostWorkersOverride(2);
-    Device dev;
-    EXPECT_EQ(dev.host_workers(), 2);
-    simt::SetHostWorkersOverride(0);
-    ::unsetenv("MPTOPK_WORKERS");
-  }
 }
 
 // --- Error paths -------------------------------------------------------------
 
+// The first overflowing block stops the launch: one worker runs no block
+// body after it, and the error is the same for every worker count.
 TEST(ParallelLaunch, SharedOverflowStillFails) {
+  std::vector<std::string> errors;
   for (int w : {1, 4}) {
     Device dev;
     dev.set_host_workers(w);
+    std::atomic<int> bodies{0};
     auto st = dev.Launch(
         {.grid_dim = 8, .block_dim = 32, .name = "overflow"},
         [&](Block& blk) {
+          bodies.fetch_add(1, std::memory_order_relaxed);
           auto s = blk.AllocShared<float>(64 * 1024);  // 256 KiB > 48 KiB
           blk.ForEachThread([&](Thread& t) { s.Write(t, t.tid, 0.0f); });
         });
@@ -229,7 +227,12 @@ TEST(ParallelLaunch, SharedOverflowStillFails) {
         << "workers=" << w;
     EXPECT_NE(st.status().ToString().find("shared memory"), std::string::npos)
         << st.status().ToString();
+    if (w == 1) {
+      EXPECT_EQ(bodies.load(), 1);
+    }
+    errors.push_back(st.status().ToString());
   }
+  EXPECT_EQ(errors[0], errors[1]);
 }
 
 // --- Trace sampling ----------------------------------------------------------

@@ -205,6 +205,41 @@ TEST(RacecheckMutants, GlobalPerBlockHazard) {
       << atomic_dev.race_report().Summary();
 }
 
+// Atomics never conflict with each other, but a plain access does conflict
+// with every atomic to the same word in its epoch: N atomics plus one read
+// from another warp are exactly N hazards, and the atomics alone are none.
+TEST(RacecheckMutants, AtomicRunsConflictOnlyWithPlainAccesses) {
+  constexpr int kAtomics = 96;  // warps 0-2
+  constexpr int kReader = 100;  // warp 3
+  for (bool with_read : {true, false}) {
+    Device dev = RacecheckDevice();
+    auto st = dev.Launch({1, 128, 32, "atomic_run"}, [&](Block& blk) {
+      auto bin = blk.AllocShared<uint32_t>(1);
+      float* sink = blk.ThreadScratch<float>(1);
+      blk.ForEachThread([&](Thread& t) {
+        if (t.tid < kAtomics) bin.AtomicAdd(t, 0, 1u);
+        if (with_read && t.tid == kReader) {
+          sink[t.tid] = static_cast<float>(bin.Read(t, 0));
+        }
+      });
+    });
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    const RaceReport& report = dev.race_report();
+    EXPECT_EQ(report.blocks_checked, 1u);
+    if (!with_read) {
+      EXPECT_TRUE(report.clean()) << report.Summary();
+      continue;
+    }
+    EXPECT_EQ(report.hazard_count, static_cast<uint64_t>(kAtomics))
+        << report.Summary();
+    for (const RaceHazard& h : report.hazards) {
+      EXPECT_TRUE(h.a.atomic) << h.ToString();
+      EXPECT_EQ(h.b.tid, kReader) << h.ToString();
+      EXPECT_FALSE(h.b.write) << h.ToString();
+    }
+  }
+}
+
 // With the checker off, the same mutant reports nothing (and no launch ever
 // pays for checking): opt-in means opt-in.
 TEST(RacecheckMutants, CheckerOffReportsNothing) {
@@ -274,32 +309,28 @@ TEST(RacecheckGate, ChunkedClean) {
 }
 
 TEST(RacecheckGate, EngineQueriesClean) {
-  simt::Device dev;
-  const bool initial_racecheck = dev.racecheck();
+  Device dev = RacecheckDevice();
   auto table = engine::MakeTweetsTable(&dev, 1 << 14, 123).value();
   engine::Filter filter{{engine::FilterClause{
       "tweet_time", engine::CompareOp::kLt, 1000.0}}};
   engine::Ranking ranking{{engine::RankingTerm{"retweet_count", 1.0}}};
-  engine::ExecOptions exec;
-  exec.racecheck = true;
   for (auto strategy :
        {engine::TopKStrategy::kFilterSort, engine::TopKStrategy::kFilterBitonic,
         engine::TopKStrategy::kCombinedBitonic}) {
+    const uint64_t checked = dev.race_report().blocks_checked;
     auto r = engine::FilterTopKQuery(*table, filter, ranking, "id", 64,
-                                     strategy, exec);
+                                     strategy);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->race_hazards, 0u)
-        << StrategyName(strategy) << ": " << r->racecheck_summary;
-    EXPECT_FALSE(r->racecheck_summary.empty()) << StrategyName(strategy);
+    EXPECT_TRUE(dev.race_report().clean())
+        << StrategyName(strategy) << ": " << dev.race_report().Summary();
+    EXPECT_GT(dev.race_report().blocks_checked, checked)
+        << StrategyName(strategy);
   }
-  // The query scope must restore the device's prior state.
-  EXPECT_EQ(dev.racecheck(), initial_racecheck);
 
   auto g = engine::GroupByCountTopKQuery(*table, "lang", 8,
-                                         engine::GroupByStrategy::kBitonic,
-                                         exec);
+                                         engine::GroupByStrategy::kBitonic);
   ASSERT_TRUE(g.ok()) << g.status().ToString();
-  EXPECT_EQ(g->race_hazards, 0u) << g->racecheck_summary;
+  EXPECT_TRUE(dev.race_report().clean()) << dev.race_report().Summary();
 }
 
 TEST(Racecheck, EnvToggleEnablesDevice) {
@@ -316,11 +347,6 @@ TEST(Racecheck, EnvToggleEnablesDevice) {
   } else {
     unsetenv("MPTOPK_RACECHECK");
   }
-
-  simt::DeviceSpec spec;
-  spec.racecheck = true;
-  Device via_spec(spec);
-  EXPECT_TRUE(via_spec.racecheck());
 }
 
 }  // namespace
