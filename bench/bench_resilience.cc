@@ -3,10 +3,14 @@
 //   * fault-free overhead of planner::ResilientTopK (planning + staging +
 //     result verification) against the direct PlannedTopKDevice path, and
 //   * recovery latency when one transient transfer fault is injected — the
-//     wasted attempt plus the executor's simulated backoff.
+//     wasted attempt plus the executor's fixed simulated backoff (0.25 ms
+//     before the first retry, doubling per retry).
 //
 // All numbers are simulated device milliseconds, so every column is
-// deterministic under a fixed seed.
+// deterministic under a fixed seed. The default run is committed as
+// results/resilience.txt, and CI diffs this binary's output against it, so
+// any change to the executor's simulated latencies or to
+// ExecutionReport::Summary() shows up as a diff.
 #include "bench/bench_util.h"
 #include "planner/plan_topk.h"
 #include "planner/resilient.h"

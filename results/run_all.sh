@@ -23,6 +23,7 @@ $B/bench_ablation --sweep=opts --n_log2=$N > results/sec43_ablation_ladder.txt
 $B/bench_ablation --sweep=B --n_log2=$N > results/fig8_elems_per_thread.txt
 $B/bench_perthread_variants --n_log2=$N > results/fig18_perthread_variants.txt
 $B/bench_hybrid --n_log2=$N > results/sec8_hybrid.txt
+$B/bench_resilience --n_log2=$N > results/resilience.txt
 $B/bench_sim_host --n_log2=16 > results/host_throughput.txt
 echo >> results/host_throughput.txt
 $B/bench_sim_host --n_log2=$N --json_out=BENCH_sim_host.json >> results/host_throughput.txt

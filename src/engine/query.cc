@@ -8,6 +8,7 @@
 #include "common/bits.h"
 #include "gputopk/bitonic_kernels.h"
 #include "gputopk/radix_sort.h"
+#include "planner/resilient.h"
 #include "topk/registry.h"
 
 namespace mptopk::engine {
@@ -230,9 +231,9 @@ Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
   const size_t per_block = RoundUp(CeilDiv(n, grid), g.tile);
   const size_t opb = g.tile >> g.merges;
   const auto local_steps =
-      gpu::bitonic::LocalSortSteps(static_cast<uint32_t>(k));
+      gpu::BitonicLocalSortSteps(static_cast<uint32_t>(k));
   const auto rebuild_steps =
-      gpu::bitonic::RebuildSteps(static_cast<uint32_t>(k));
+      gpu::BitonicRebuildSteps(static_cast<uint32_t>(k));
   const KV sentinel = ElementTraits<KV>::LowestSentinel();
   const size_t flush_level = g.tile - g.nt;  // paper: "> 15*nt matched"
 
@@ -449,23 +450,24 @@ Status LaunchCompactGroups(const simt::ExecCtx& dev, GlobalSpan<uint32_t> keys,
   return st.ok() ? Status::OK() : st.status();
 }
 
-// Resolves the operator for a query's top-k step: the ExecOptions override
-// when set, otherwise the strategy's default registry name.
-StatusOr<const topk::TopKOperator*> ResolveTopKOperator(
-    const ExecOptions& exec, const char* strategy_default) {
-  return topk::FindOperator(exec.topk_operator.empty() ? strategy_default
-                                                       : exec.topk_operator);
-}
-
-// Runs the top-k step through the resilient executor and captures its
-// one-line report for the query result.
-StatusOr<TopKResult<KV>> ResilientStep(const simt::ExecCtx& dev,
-                                       DeviceBuffer<KV>& data, size_t n,
-                                       size_t k, const ExecOptions& exec,
-                                       std::string* summary) {
-  MPTOPK_ASSIGN_OR_RETURN(
-      auto r, planner::ResilientTopKDevice<KV>(dev, data, n, k,
-                                               exec.resilience));
+// Runs a query's top-k step: through the resilient executor when
+// exec.resilient (capturing its one-line report in *summary), else through
+// the registry operator named by the ExecOptions override or, when unset,
+// by the strategy's default.
+StatusOr<TopKResult<KV>> TopKStep(const simt::ExecCtx& dev,
+                                  DeviceBuffer<KV>& data, size_t n, size_t k,
+                                  const ExecOptions& exec,
+                                  const char* strategy_default,
+                                  std::string* summary) {
+  if (!exec.resilient) {
+    MPTOPK_ASSIGN_OR_RETURN(
+        const topk::TopKOperator* op,
+        topk::FindOperator(exec.topk_operator.empty() ? strategy_default
+                                                      : exec.topk_operator));
+    return op->TopKDevice(dev, data, n, k);
+  }
+  MPTOPK_ASSIGN_OR_RETURN(auto r,
+                          planner::ResilientTopKDevice<KV>(dev, data, n, k));
   *summary = r.report.Summary();
   TopKResult<KV> top;
   top.items = std::move(r.items);
@@ -536,8 +538,8 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
       // top-k, so a resilient top-k over them yields the same answer.
       const size_t k_r = std::min(std::min(k, matched), emitted);
       MPTOPK_ASSIGN_OR_RETURN(
-          top, ResilientStep(dev, cand, emitted, k_r, exec,
-                             &resilience_summary));
+          top, TopKStep(dev, cand, emitted, k_r, exec, "BitonicTopK",
+                        &resilience_summary));
     } else {
       return reduced.status();
     }
@@ -556,18 +558,11 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
       return empty;
     }
     const size_t k_eff = std::min(k, matched);
-    if (exec.resilient) {
-      MPTOPK_ASSIGN_OR_RETURN(top, ResilientStep(dev, kv_buf, matched, k_eff,
-                                                 exec, &resilience_summary));
-    } else {
-      MPTOPK_ASSIGN_OR_RETURN(
-          const topk::TopKOperator* op,
-          ResolveTopKOperator(exec, strategy == TopKStrategy::kFilterSort
-                                        ? "Sort"
-                                        : "BitonicTopK"));
-      MPTOPK_ASSIGN_OR_RETURN(top, op->TopKDevice(dev, kv_buf, matched,
-                                                  k_eff));
-    }
+    MPTOPK_ASSIGN_OR_RETURN(
+        top, TopKStep(dev, kv_buf, matched, k_eff, exec,
+                      strategy == TopKStrategy::kFilterSort ? "Sort"
+                                                            : "BitonicTopK",
+                      &resilience_summary));
   }
 
   // Trim sentinels (combined path may round k up / pad short matches).
@@ -649,19 +644,10 @@ StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
   }
   const size_t k_eff = std::min<size_t>(k, num_groups);
   TopKResult<KV> top;
-  if (exec.resilient) {
-    MPTOPK_ASSIGN_OR_RETURN(top,
-                            ResilientStep(dev, groups, num_groups, k_eff, exec,
-                                          &result.resilience_summary));
-  } else {
-    MPTOPK_ASSIGN_OR_RETURN(
-        const topk::TopKOperator* op,
-        ResolveTopKOperator(exec, strategy == GroupByStrategy::kSort
-                                      ? "Sort"
-                                      : "BitonicTopK"));
-    MPTOPK_ASSIGN_OR_RETURN(top, op->TopKDevice(dev, groups, num_groups,
-                                                k_eff));
-  }
+  MPTOPK_ASSIGN_OR_RETURN(
+      top, TopKStep(dev, groups, num_groups, k_eff, exec,
+                    strategy == GroupByStrategy::kSort ? "Sort" : "BitonicTopK",
+                    &result.resilience_summary));
   result.topk_ms = tracker.ElapsedMs() - groupby_ms;
   for (const KV& kv : top.items) {
     result.keys.push_back(static_cast<int32_t>(kv.value));

@@ -24,7 +24,6 @@
 
 #include "common/status.h"
 #include "engine/table.h"
-#include "planner/resilient.h"
 #include "simt/exec_ctx.h"
 
 namespace mptopk::engine {
@@ -94,7 +93,6 @@ struct ExecOptions {
   /// the combined strategy the resilient executor serves as the recovery
   /// path when the fused reduction fails).
   bool resilient = false;
-  planner::ResilienceOptions resilience;
   /// Execution context for the whole query (stream + arena). nullptr runs
   /// on the table device's default stream — the legacy single-query path.
   /// Set by engine::BatchExecutor to interleave queries across streams.

@@ -22,20 +22,6 @@ using simt::GlobalSpan;
 using simt::SharedSpan;
 using simt::Thread;
 
-using Step = BitonicStep;
-using Window = BitonicWindow;
-
-inline std::vector<Step> LocalSortSteps(uint32_t k) {
-  return BitonicLocalSortSteps(k);
-}
-inline std::vector<Step> RebuildSteps(uint32_t k) {
-  return BitonicRebuildSteps(k);
-}
-inline std::vector<Window> PlanWindows(const std::vector<Step>& steps,
-                                       int width_budget_bits) {
-  return PlanBitonicWindows(steps, width_budget_bits);
-}
-
 constexpr int kMaxElemsPerThread = 64;
 
 // Resolved kernel geometry for one (element type, k, options) combination.
@@ -112,8 +98,9 @@ StatusOr<Geometry<E>> ResolveGeometry(const simt::DeviceSpec& spec, size_t k,
 // gpt * 2^w elements in registers. `permute` rotates each lane's group and
 // intra-group access order (the paper's chunk permutation).
 template <typename E>
-void RunWindowShared(Block& blk, SharedSpan<E> s, size_t m, const Window& w,
-                     int active_threads, const Geometry<E>& g) {
+void RunWindowShared(Block& blk, SharedSpan<E> s, size_t m,
+                     const BitonicWindow& w, int active_threads,
+                     const Geometry<E>& g) {
   const int lo = w.lo_bit;
   const int G = w.group_size();
   const size_t groups = m >> (w.hi_bit - w.lo_bit + 1);
@@ -139,7 +126,7 @@ void RunWindowShared(Block& blk, SharedSpan<E> s, size_t m, const Window& w,
         int j = (jj + rot) % G;
         regs[j] = s.Read(t, g.PadIdx(base + (static_cast<size_t>(j) << lo)));
       }
-      for (const Step& st : w.steps) {
+      for (const BitonicStep& st : w.steps) {
         int relbit = Log2Floor(st.inc) - lo;
         int rel = 1 << relbit;
         for (int j = 0; j < G; ++j) {
@@ -163,11 +150,11 @@ void RunWindowShared(Block& blk, SharedSpan<E> s, size_t m, const Window& w,
 
 template <typename E>
 void RunStepsShared(Block& blk, SharedSpan<E> s, size_t m,
-                    const std::vector<Step>& steps, int active_threads,
+                    const std::vector<BitonicStep>& steps, int active_threads,
                     const Geometry<E>& g) {
   size_t ept = m / std::max(1, active_threads);
-  const auto windows = PlanWindows(steps, g.WindowBudget(ept));
-  for (const Window& w : windows) {
+  const auto windows = PlanBitonicWindows(steps, g.WindowBudget(ept));
+  for (const BitonicWindow& w : windows) {
     RunWindowShared(blk, s, m, w, active_threads, g);
   }
 }
@@ -255,8 +242,8 @@ Status LaunchSortReducer(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                          GlobalSpan<E> out, size_t k, const Geometry<E>& g) {
   const int grid = static_cast<int>(CeilDiv(n, g.tile));
   const size_t opb = g.tile >> g.merges;  // outputs per block
-  const auto local_steps = LocalSortSteps(static_cast<uint32_t>(k));
-  const auto rebuild_steps = RebuildSteps(static_cast<uint32_t>(k));
+  const auto local_steps = BitonicLocalSortSteps(static_cast<uint32_t>(k));
+  const auto rebuild_steps = BitonicRebuildSteps(static_cast<uint32_t>(k));
   auto st = dev.Launch(
       {.grid_dim = grid, .block_dim = g.nt,
        .regs_per_thread = g.B + 16, .name = "bitonic_sort_reducer"},
@@ -287,7 +274,7 @@ Status LaunchBitonicReducer(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t m
                             const Geometry<E>& g) {
   const int grid = static_cast<int>(CeilDiv(m_in, g.tile));
   const size_t opb = g.tile >> g.merges;
-  const auto rebuild_steps = RebuildSteps(static_cast<uint32_t>(k));
+  const auto rebuild_steps = BitonicRebuildSteps(static_cast<uint32_t>(k));
   auto st = dev.Launch(
       {.grid_dim = grid, .block_dim = g.nt,
        .regs_per_thread = g.B + 16, .name = "bitonic_reducer"},
@@ -317,8 +304,8 @@ Status LaunchFinalReduce(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t m_in
                          GlobalSpan<E> out_k, size_t k, bool unsorted,
                          const Geometry<E>& g) {
   const size_t p2 = NextPowerOfTwo(std::max(m_in, k));
-  const auto local_steps = LocalSortSteps(static_cast<uint32_t>(k));
-  const auto rebuild_steps = RebuildSteps(static_cast<uint32_t>(k));
+  const auto local_steps = BitonicLocalSortSteps(static_cast<uint32_t>(k));
+  const auto rebuild_steps = BitonicRebuildSteps(static_cast<uint32_t>(k));
   auto st = dev.Launch(
       {.grid_dim = 1, .block_dim = g.nt, .regs_per_thread = g.B + 16,
        .name = "bitonic_final_reduce"},

@@ -1,8 +1,8 @@
 // Implementation of bitonic top-k (see bitonic_topk.h for the algorithm
 // description). The same step machinery drives every optimization level:
 //
-//  * a Step {dir, inc} is one compare-exchange round of the bitonic network
-//    (paper Algorithms 2 and 4): pairs (i, i+inc) with (i & inc) == 0,
+//  * a BitonicStep {dir, inc} is one compare-exchange round of the bitonic
+//    network (paper Algorithms 2 and 4): pairs (i, i+inc) with (i & inc) == 0,
 //    ascending when (i & dir) == 0;
 //  * consecutive steps whose comparison distances fit a bit-window of width
 //    w are executed as one "combined step": each thread stages 2^w elements
@@ -37,7 +37,7 @@ using namespace bitonic;
 // launch per step).
 template <typename E>
 Status LaunchGlobalStep(const simt::ExecCtx& dev, GlobalSpan<E> data, size_t m,
-                        Step step, const Geometry<E>& g) {
+                        BitonicStep step, const Geometry<E>& g) {
   const size_t pairs = m / 2;
   const int block = g.nt;
   const int grid = static_cast<int>(
@@ -95,8 +95,8 @@ Status LaunchGlobalMerge(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t m,
 // rebuild, whose distances are < k <= tile/2).
 template <typename E>
 Status LaunchStagedSteps(const simt::ExecCtx& dev, GlobalSpan<E> data, size_t m,
-                         const std::vector<Step>& steps, const char* name,
-                         const Geometry<E>& g) {
+                         const std::vector<BitonicStep>& steps,
+                         const char* name, const Geometry<E>& g) {
   const size_t tile = std::min(g.tile, m);
   const int grid = static_cast<int>(CeilDiv(m, tile));
   auto st = dev.Launch(
@@ -149,13 +149,13 @@ Status RunUnfused(const simt::ExecCtx& dev, DeviceBuffer<E>& data, size_t n, siz
   GlobalSpan<E> aux(aux_buf);
   MPTOPK_RETURN_NOT_OK(LaunchCopyPad(dev, in, n, work, p2, g));
 
-  const auto local_steps = LocalSortSteps(static_cast<uint32_t>(k));
-  const auto rebuild_steps = RebuildSteps(static_cast<uint32_t>(k));
+  const auto local_steps = BitonicLocalSortSteps(static_cast<uint32_t>(k));
+  const auto rebuild_steps = BitonicRebuildSteps(static_cast<uint32_t>(k));
   if (opts.use_shared_memory) {
     MPTOPK_RETURN_NOT_OK(
         LaunchStagedSteps(dev, work, p2, local_steps, "bitonic_local_sort", g));
   } else {
-    for (const Step& st : local_steps) {
+    for (const BitonicStep& st : local_steps) {
       MPTOPK_RETURN_NOT_OK(LaunchGlobalStep(dev, work, p2, st, g));
     }
   }
@@ -172,7 +172,7 @@ Status RunUnfused(const simt::ExecCtx& dev, DeviceBuffer<E>& data, size_t n, siz
       MPTOPK_RETURN_NOT_OK(LaunchStagedSteps(dev, cur, m, rebuild_steps,
                                              "bitonic_rebuild", g));
     } else {
-      for (const Step& st : rebuild_steps) {
+      for (const BitonicStep& st : rebuild_steps) {
         MPTOPK_RETURN_NOT_OK(LaunchGlobalStep(dev, cur, m, st, g));
       }
     }

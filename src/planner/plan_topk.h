@@ -50,22 +50,28 @@ StatusOr<Plan> PlanTopK(const simt::DeviceSpec& spec,
                         const cost::Workload& workload,
                         bool include_extensions = false);
 
-/// Convenience: plan, then run the chosen operator on device data.
+/// The cost-model workload of a top-k over n device-resident elements of
+/// type E, under the context's stream concurrency.
 template <typename E>
-StatusOr<gpu::TopKResult<E>> PlannedTopKDevice(const simt::ExecCtx& dev,
-                                               simt::DeviceBuffer<E>& data,
-                                               size_t n, size_t k,
-                                               Distribution hint =
-                                                   Distribution::kUniform) {
+cost::Workload DeviceTopKWorkload(const simt::ExecCtx& dev, size_t n,
+                                  size_t k) {
   cost::Workload w;
   w.n = n;
   w.k = k;
   w.elem_size = sizeof(E);
   w.key_size = sizeof(typename KeyTraits<
                       typename ElementTraits<E>::Key>::Unsigned);
-  w.dist = hint;
   w.concurrent_streams = dev.concurrency_hint();
-  MPTOPK_ASSIGN_OR_RETURN(Plan plan, PlanTopK(dev.spec(), w));
+  return w;
+}
+
+/// Convenience: plan, then run the chosen operator on device data.
+template <typename E>
+StatusOr<gpu::TopKResult<E>> PlannedTopKDevice(const simt::ExecCtx& dev,
+                                               simt::DeviceBuffer<E>& data,
+                                               size_t n, size_t k) {
+  MPTOPK_ASSIGN_OR_RETURN(
+      Plan plan, PlanTopK(dev.spec(), DeviceTopKWorkload<E>(dev, n, k)));
   return plan.best->TopKDevice(dev, data, n, k);
 }
 

@@ -126,103 +126,81 @@ Status VerifyTopK(const E* input, size_t n, const std::vector<E>& items,
   return Status::OK();
 }
 
-/// Charges exponential backoff before retry number `retries` (0-based) to
-/// the device clock and the report, and records it on the attempt.
-void ChargeBackoff(const simt::ExecCtx& dev, const ResilienceOptions& opts,
-                   int retries, AttemptRecord* rec, ExecutionReport* rep) {
-  const double backoff =
-      opts.backoff_base_ms * static_cast<double>(uint64_t{1} << retries);
-  dev.AddSimulatedDelayMs(backoff);
-  rec->backoff_ms = backoff;
-  rep->backoff_ms += backoff;
-  ++rep->retries;
-}
+/// Simulated backoff before same-stage retry r is kBackoffBaseMs * 2^r.
+constexpr double kBackoffBaseMs = 0.25;
 
-/// Runs one stage with bounded retry of retryable faults (exponential
-/// simulated backoff) and one re-execution on a failed invariant check.
-/// Failed attempts charge their device time (plus backoff) to the report's
-/// added_latency_ms; on success stores the verified items.
-template <typename E, typename F>
+/// The result check of a stage with no result to verify (a transfer).
+Status NoCheck() { return Status::OK(); }
+
+/// The one recovery loop: runs `attempt` until it succeeds and `check`
+/// accepts its result. A retryable (kUnavailable) failure is retried up to
+/// opts.max_retries times after exponential simulated backoff; a result the
+/// check rejects (corrupted readback) is re-executed once. Every attempt is
+/// logged under `stage`, and this is the only place that tallies
+/// faults_seen, retries, backoff_ms, corruption_reruns and the device time
+/// of failed attempts (added_latency_ms).
+template <typename Attempt, typename Check>
 Status RunStage(const simt::ExecCtx& dev, const ResilienceOptions& opts,
-                const std::string& stage, const E* verify_input, size_t n,
-                size_t k, F&& fn, ExecutionReport* rep,
-                std::vector<E>* items) {
+                const std::string& stage, Attempt&& attempt, Check&& check,
+                ExecutionReport* rep) {
   int retries = 0;
-  int reruns = 0;
-  Status last;
+  bool reran = false;
   while (true) {
     const double t0 = DeviceClockMs(dev);
-    StatusOr<std::vector<E>> r = fn();
-    AttemptRecord rec;
-    rec.stage = stage;
-    if (r.ok()) {
-      Status v = (opts.verify && verify_input != nullptr)
-                     ? VerifyTopK(verify_input, n, r.value(), k)
-                     : Status::OK();
-      if (v.ok()) {
-        rep->attempts.push_back(std::move(rec));
-        *items = std::move(r).value();
-        return Status::OK();
-      }
-      rec.code = v.code();
-      rec.detail = v.message();
-      rep->attempts.push_back(std::move(rec));
-      ++rep->faults_seen;
-      rep->added_latency_ms += DeviceClockMs(dev) - t0;
-      last = v;
-      if (reruns == 0) {  // one re-execution on corruption
-        ++reruns;
-        ++rep->corruption_reruns;
-        continue;
-      }
-      return last.WithContext(stage + " (corrupt after re-execution)");
-    }
-    last = r.status();
-    rec.code = last.code();
-    rec.detail = last.message();
-    ++rep->faults_seen;
-    if (last.IsRetryable() && retries < opts.max_retries) {
-      ChargeBackoff(dev, opts, retries, &rec, rep);
-      ++retries;
-      rep->attempts.push_back(std::move(rec));
-      rep->added_latency_ms += DeviceClockMs(dev) - t0;
-      continue;
-    }
-    rep->attempts.push_back(std::move(rec));
-    rep->added_latency_ms += DeviceClockMs(dev) - t0;
-    return last.WithContext(stage);
-  }
-}
-
-/// Retries a plain transfer (no result to verify) under the same bounded
-/// backoff policy. `stage` labels the attempt records.
-template <typename F>
-Status RunTransfer(const simt::ExecCtx& dev, const ResilienceOptions& opts,
-                   const std::string& stage, F&& fn, ExecutionReport* rep) {
-  int retries = 0;
-  while (true) {
-    const double t0 = DeviceClockMs(dev);
-    Status st = fn();
-    AttemptRecord rec;
-    rec.stage = stage;
-    rec.code = st.code();
+    Status st = attempt();
+    const bool ran = st.ok();
+    if (ran) st = check();
     if (st.ok()) {
-      rep->attempts.push_back(std::move(rec));
+      rep->attempts.push_back({stage, StatusCode::kOk, "", 0.0});
       return st;
     }
-    rec.detail = st.message();
+    AttemptRecord rec{stage, st.code(), st.message(), 0.0};
     ++rep->faults_seen;
-    if (st.IsRetryable() && retries < opts.max_retries) {
-      ChargeBackoff(dev, opts, retries, &rec, rep);
+    bool again = false;
+    if (ran) {  // the check rejected the result
+      again = !reran;
+      if (again) {
+        reran = true;
+        ++rep->corruption_reruns;
+      }
+    } else if (st.IsRetryable() && retries < opts.max_retries) {
+      rec.backoff_ms =
+          kBackoffBaseMs * static_cast<double>(uint64_t{1} << retries);
+      dev.AddSimulatedDelayMs(rec.backoff_ms);
+      rep->backoff_ms += rec.backoff_ms;
+      ++rep->retries;
       ++retries;
-      rep->attempts.push_back(std::move(rec));
-      rep->added_latency_ms += DeviceClockMs(dev) - t0;
-      continue;
+      again = true;
     }
     rep->attempts.push_back(std::move(rec));
     rep->added_latency_ms += DeviceClockMs(dev) - t0;
-    return st.WithContext(stage);
+    if (!again) {
+      return st.WithContext(ran ? stage + " (corrupt after re-execution)"
+                                : stage);
+    }
   }
+}
+
+/// Runs registry operator `op` as one verified stage over `input` (on the
+/// device copy `device` when given, else on the host) and names it the
+/// final algorithm on success.
+template <typename E>
+Status RunOperator(const simt::ExecCtx& dev, const ResilienceOptions& opts,
+                   const topk::TopKOperator* op,
+                   simt::DeviceBuffer<E>* device, const E* input, size_t n,
+                   size_t k, ExecutionReport* rep, std::vector<E>* items) {
+  Status st = RunStage(
+      dev, opts, op->name(),
+      [&]() -> Status {
+        auto r = device != nullptr ? op->TopKDevice(dev, *device, n, k)
+                                   : op->TopKHost(dev, input, n, k);
+        if (!r.ok()) return r.status();
+        *items = std::move(r.value().items);
+        return Status::OK();
+      },
+      [&] { return VerifyTopK(input, n, *items, k); }, rep);
+  if (st.ok()) rep->final_algorithm = op->name();
+  return st;
 }
 
 /// Walks the planner-ranked GPU operators (topk/registry.h) over
@@ -232,40 +210,21 @@ template <typename E>
 Status RunGpuStages(const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_t n,
                     size_t k, const ResilienceOptions& opts,
                     ExecutionReport* rep, std::vector<E>* items) {
-  cost::Workload w;
-  w.n = n;
-  w.k = k;
-  w.elem_size = sizeof(E);
-  w.key_size =
-      sizeof(typename KeyTraits<typename ElementTraits<E>::Key>::Unsigned);
-  w.dist = opts.hint;
-  w.concurrent_streams = dev.concurrency_hint();
-  auto plan = PlanTopK(dev.spec(), w, opts.include_extensions);
+  auto plan = PlanTopK(dev.spec(), DeviceTopKWorkload<E>(dev, n, k),
+                       opts.include_extensions);
   if (!plan.ok()) {
-    rep->attempts.push_back(
-        {"planner", plan.status().code(), plan.status().message(), 0.0});
-    ++rep->faults_seen;
-    return plan.status().WithContext("planner");
+    // Logged as a failed one-attempt stage (planner errors never retry).
+    return RunStage(
+        dev, opts, "planner", [&] { return plan.status(); }, NoCheck, rep);
   }
   Status last = Status::Internal("planner returned no feasible operator");
   bool first = true;
   for (const OperatorEstimate& est : plan.value().ranked) {
     if (!first) ++rep->fallbacks;  // reached only after the previous failed
     first = false;
-    const std::string& name = est.op->name();
-    Status st = RunStage<E>(
-        dev, opts, name, data.host_data(), n, k,
-        [&]() -> StatusOr<std::vector<E>> {
-          auto r = est.op->TopKDevice(dev, data, n, k);
-          if (!r.ok()) return r.status();
-          return std::move(r.value().items);
-        },
-        rep, items);
-    if (st.ok()) {
-      rep->final_algorithm = name;
-      return Status::OK();
-    }
-    last = st;
+    last = RunOperator(dev, opts, est.op, &data, data.host_data(), n, k, rep,
+                       items);
+    if (last.ok()) return last;
   }
   return last;
 }
@@ -283,22 +242,31 @@ Status RunCpuStage(const simt::ExecCtx& dev, const E* data, size_t n, size_t k,
     if (!op->CheckCaps(topk::ElemTypeOf<E>::value, n, k).ok()) continue;
     if (!first) ++rep->fallbacks;
     first = false;
-    Status st = RunStage<E>(
-        dev, opts, op->name(), data, n, k,
-        [&]() -> StatusOr<std::vector<E>> {
-          auto r = op->TopKHost(dev, data, n, k);
-          if (!r.ok()) return r.status();
-          return std::move(r.value().items);
-        },
-        rep, items);
-    if (st.ok()) {
+    last = RunOperator<E>(dev, opts, op, nullptr, data, n, k, rep, items);
+    if (last.ok()) {
       rep->used_cpu = true;
-      rep->final_algorithm = op->name();
-      return st;
+      return last;
     }
-    last = st;
   }
   return last;
+}
+
+/// The frame both entry points share: the k check, the total device time of
+/// a successful call, and the entry point's name on every failure. `chain`
+/// runs the stages into the result and returns the reason it failed.
+template <typename E, typename Chain>
+StatusOr<ResilientResult<E>> RunResilient(const simt::ExecCtx& dev,
+                                          const char* entry, size_t n,
+                                          size_t k, Chain&& chain) {
+  if (k == 0 || k > n) {
+    return Status::InvalidArgument("require 1 <= k <= n").WithContext(entry);
+  }
+  ResilientResult<E> out;
+  const double t_begin = DeviceClockMs(dev);
+  Status st = chain(&out.report, &out.items);
+  if (!st.ok()) return st.WithContext(entry);
+  out.report.total_device_ms = DeviceClockMs(dev) - t_begin;
+  return out;
 }
 
 }  // namespace
@@ -307,121 +275,84 @@ template <typename E>
 StatusOr<ResilientResult<E>> ResilientTopKDevice(
     const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_t n, size_t k,
     const ResilienceOptions& opts) {
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("ResilientTopKDevice: require 1 <= k <= n");
-  }
-  if (n > data.size()) {
-    return Status::InvalidArgument(
-        "ResilientTopKDevice: n exceeds device buffer size");
-  }
-  ResilientResult<E> out;
-  const double t_begin = DeviceClockMs(dev);
-
-  Status st = RunGpuStages(dev, data, n, k, opts, &out.report, &out.items);
-  if (!st.ok() && opts.allow_cpu_fallback) {
-    ++out.report.fallbacks;
-    // Accounted readback of the input (itself subject to transient faults).
-    std::vector<E> host(n);
-    Status rb = RunTransfer(
-        dev, opts, "cpu-readback",
-        [&]() { return dev.CopyToHost(host.data(), data, n); }, &out.report);
-    if (!rb.ok()) {
-      return rb.WithContext("ResilientTopKDevice: input readback failed");
-    }
-    st = RunCpuStage(dev, host.data(), n, k, opts, &out.report, &out.items);
-  }
-  if (!st.ok()) {
-    return st.WithContext("ResilientTopKDevice: all stages failed");
-  }
-  out.report.total_device_ms = DeviceClockMs(dev) - t_begin;
-  return out;
+  return RunResilient<E>(
+      dev, "ResilientTopKDevice", n, k,
+      [&](ExecutionReport* rep, std::vector<E>* items) -> Status {
+        if (n > data.size()) {
+          return Status::InvalidArgument("n exceeds device buffer size");
+        }
+        if (RunGpuStages(dev, data, n, k, opts, rep, items).ok()) {
+          return Status::OK();
+        }
+        ++rep->fallbacks;
+        // Accounted readback of the input (itself subject to transient
+        // faults).
+        std::vector<E> host(n);
+        Status rb = RunStage(
+            dev, opts, "cpu-readback",
+            [&] { return dev.CopyToHost(host.data(), data, n); }, NoCheck,
+            rep);
+        if (!rb.ok()) return rb.WithContext("input readback failed");
+        return RunCpuStage(dev, host.data(), n, k, opts, rep, items)
+            .WithContext("all stages failed");
+      });
 }
 
 template <typename E>
 StatusOr<ResilientResult<E>> ResilientTopK(const simt::ExecCtx& dev, const E* data,
                                            size_t n, size_t k,
                                            const ResilienceOptions& opts) {
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("ResilientTopK: require 1 <= k <= n");
-  }
-  ResilientResult<E> out;
-  const double t_begin = DeviceClockMs(dev);
-  Status last = Status::OK();
-  bool done = false;
+  return RunResilient<E>(
+      dev, "ResilientTopK", n, k,
+      [&](ExecutionReport* rep, std::vector<E>* items) -> Status {
+        const size_t bytes = n * sizeof(E);
+        const size_t used = dev.allocated_bytes();
+        const size_t free_bytes = dev.spec().global_mem_bytes > used
+                                      ? dev.spec().global_mem_bytes - used
+                                      : 0;
+        // The resident path needs the input plus algorithm scratch; require
+        // modest headroom before attempting it, else degrade to streaming
+        // immediately.
+        if (bytes + bytes / 8 <= free_bytes) {
+          // Stage the input. An allocation failure (device full / injected)
+          // is never retryable and degrades to chunked; transient copy
+          // faults retry like any stage.
+          auto buf = dev.Alloc<E>(n);
+          Status st = RunStage(
+              dev, opts, "stage-input",
+              [&]() -> Status {
+                if (!buf.ok()) return buf.status();
+                return dev.CopyToDevice(buf.value(), data, n);
+              },
+              NoCheck, rep);
+          if (st.ok() &&
+              RunGpuStages(dev, buf.value(), n, k, opts, rep, items).ok()) {
+            return Status::OK();
+          }
+        } else {
+          rep->attempts.push_back(
+              {"resident", StatusCode::kResourceExhausted,
+               "input (" + std::to_string(bytes) +
+                   " bytes) exceeds free device memory (" +
+                   std::to_string(free_bytes) + " bytes)",
+               0.0});
+        }
 
-  const size_t bytes = n * sizeof(E);
-  const size_t used = dev.allocated_bytes();
-  const size_t free_bytes =
-      dev.spec().global_mem_bytes > used ? dev.spec().global_mem_bytes - used
-                                         : 0;
-  // The resident path needs the input plus algorithm scratch; require modest
-  // headroom before attempting it, else degrade to streaming immediately.
-  if (bytes + bytes / 8 <= free_bytes) {
-    // Stage the input. An allocation failure (device full / injected)
-    // degrades to chunked; transient copy faults retry like any stage.
-    auto buf = dev.Alloc<E>(n);
-    if (!buf.ok()) {
-      out.report.attempts.push_back({"stage-input", buf.status().code(),
-                                     buf.status().message(), 0.0});
-      ++out.report.faults_seen;
-      last = buf.status();
-    } else {
-      Status cp = RunTransfer(
-          dev, opts, "stage-input",
-          [&]() { return dev.CopyToDevice(buf.value(), data, n); },
-          &out.report);
-      if (cp.ok()) {
-        Status st = RunGpuStages(dev, buf.value(), n, k, opts, &out.report,
-                                 &out.items);
-        if (st.ok()) done = true;
-        else last = st;
-      } else {
-        last = cp;
-      }
-    }
-  } else {
-    out.report.attempts.push_back(
-        {"resident", StatusCode::kResourceExhausted,
-         "input (" + std::to_string(bytes) +
-             " bytes) exceeds free device memory (" +
-             std::to_string(free_bytes) + " bytes)",
-         0.0});
-    last = Status::ResourceExhausted(
-        "ResilientTopK: input does not fit device memory");
-  }
-
-  const topk::TopKOperator* streaming = topk::StreamingFallback();
-  if (!done && opts.allow_chunked_degrade && streaming != nullptr &&
-      streaming->CheckCaps(topk::ElemTypeOf<E>::value, n, k).ok()) {
-    ++out.report.fallbacks;
-    out.report.degraded_to_chunked = true;
-    Status st = RunStage<E>(
-        dev, opts, streaming->name(), data, n, k,
-        [&]() -> StatusOr<std::vector<E>> {
-          auto r = streaming->TopKHost(dev, data, n, k);
-          if (!r.ok()) return r.status();
-          return std::move(r.value().items);
-        },
-        &out.report, &out.items);
-    if (st.ok()) {
-      out.report.final_algorithm = streaming->name();
-      done = true;
-    } else {
-      last = st;
-    }
-  }
-  if (!done && opts.allow_cpu_fallback) {
-    ++out.report.fallbacks;
-    Status st = RunCpuStage(dev, data, n, k, opts, &out.report, &out.items);
-    if (st.ok()) done = true;
-    else last = st;
-  }
-  if (!done) {
-    if (last.ok()) last = Status::Internal("no execution path permitted");
-    return last.WithContext("ResilientTopK: all stages failed");
-  }
-  out.report.total_device_ms = DeviceClockMs(dev) - t_begin;
-  return out;
+        const topk::TopKOperator* streaming = topk::StreamingFallback();
+        if (streaming != nullptr &&
+            streaming->CheckCaps(topk::ElemTypeOf<E>::value, n, k).ok()) {
+          ++rep->fallbacks;
+          rep->degraded_to_chunked = true;
+          if (RunOperator<E>(dev, opts, streaming, nullptr, data, n, k, rep,
+                             items)
+                  .ok()) {
+            return Status::OK();
+          }
+        }
+        ++rep->fallbacks;
+        return RunCpuStage(dev, data, n, k, opts, rep, items)
+            .WithContext("all stages failed");
+      });
 }
 
 #define MPTOPK_INSTANTIATE_RESILIENT(E)                          \

@@ -36,22 +36,11 @@ namespace mptopk::planner {
 
 struct ResilienceOptions {
   /// Retries of a retryable (kUnavailable) failure per stage before falling
-  /// back to the next stage.
+  /// back to the next stage. Retry r is preceded by 0.25 * 2^r ms of
+  /// simulated backoff, charged to the device clock and to the report.
   int max_retries = 3;
-  /// Simulated backoff before retry r is base * 2^r milliseconds, charged to
-  /// the device clock (Device::AddSimulatedDelayMs) and to the report.
-  double backoff_base_ms = 0.25;
-  /// Run the result invariant check after every successful attempt.
-  bool verify = true;
-  /// Allow streaming through gpu::ChunkedTopK when the input does not fit
-  /// (host-input ResilientTopK only).
-  bool allow_chunked_degrade = true;
-  /// Allow the final CPU fallback.
-  bool allow_cpu_fallback = true;
   /// Forwarded to PlanTopK (adds the sampling hybrid to the ranked list).
   bool include_extensions = false;
-  /// Distribution hint for the cost models.
-  Distribution hint = Distribution::kUniform;
 };
 
 /// One execution attempt of one stage, in order.

@@ -347,7 +347,7 @@ class HybridOperator final : public TopKOperator {
       const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
       size_t k) const override {                                            \
     return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {                 \
-      return gpu::HybridTopKDevice(dev, data, n, k2, gpu::HybridOptions{}); \
+      return gpu::HybridTopKDevice(dev, data, n, k2);                       \
     });                                                                     \
   }
   MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/distributions.h"
 #include "engine/query.h"
@@ -454,6 +456,172 @@ TEST(ResilientTopKTest, SameSeedIsBitForBitDeterministic) {
   EXPECT_EQ(a.report.total_device_ms, b.report.total_device_ms);
   EXPECT_EQ(a.report.added_latency_ms, b.report.added_latency_ms);
   EXPECT_EQ(a.report.Summary(), b.report.Summary());
+}
+
+// --- Report vs attempt log ---------------------------------------------------
+
+// One fault scenario of the report-consistency campaign.
+struct Scenario {
+  std::string name;
+  FaultPlanConfig faults;
+  int max_retries = 3;
+  bool tiny_memory = false;  // device memory holds the input and no more
+};
+
+std::vector<Scenario> ReportCampaign() {
+  std::vector<Scenario> out;
+  auto add = [&](std::string name, FaultPlanConfig c, int retries = 3,
+                 bool tiny = false) {
+    out.push_back({std::move(name), c, retries, tiny});
+  };
+  add("clean", {});
+  for (int i = 1; i <= 6; ++i) {
+    FaultPlanConfig c;
+    c.fail_alloc_index = i;
+    add("alloc" + std::to_string(i), c);
+    c = {};
+    c.fail_transfer_index = i;
+    add("transfer" + std::to_string(i), c);
+    add("transfer" + std::to_string(i) + "/no-retry", c, 0);
+  }
+  for (int i = 1; i <= 4; ++i) {
+    FaultPlanConfig c;
+    c.fail_launch_index = i;
+    add("launch" + std::to_string(i), c);
+    c = {};
+    c.seed = static_cast<uint64_t>(i);
+    c.corrupt_readback_index = i;
+    add("corrupt" + std::to_string(i), c);
+  }
+  for (uint64_t seed : {1, 2, 3}) {
+    FaultPlanConfig c;
+    c.seed = seed;
+    c.transient_transfer_prob = 0.4;
+    add("flaky" + std::to_string(seed), c);
+  }
+  FaultPlanConfig c;
+  c.fail_alloc_above_bytes = 4096;
+  add("exhausted", c);
+  c = {};
+  c.fail_alloc_index = 1;
+  c.fail_transfer_index = 1;
+  add("alloc1+transfer1/no-retry", c, 0);
+  add("tiny-memory", {}, 3, /*tiny=*/true);
+  return out;
+}
+
+// Checks that every ExecutionReport tally agrees with the attempt log it
+// summarizes. The "resident" entry is a capacity note, not a fault.
+void ExpectReportMatchesAttempts(const planner::ExecutionReport& rep,
+                                 const std::string& where) {
+  SCOPED_TRACE(where);
+  const auto& log = rep.attempts;
+  ASSERT_FALSE(log.empty());
+  int faults = 0, retried = 0, reruns = 0, fallbacks = 0;
+  double backoff = 0.0;
+  bool chunked = false;
+  for (size_t i = 0; i < log.size(); ++i) {
+    const planner::AttemptRecord& a = log[i];
+    const bool failed = a.code != StatusCode::kOk;
+    if (failed && a.stage != "resident") ++faults;
+    if (a.backoff_ms > 0.0) {
+      ++retried;
+      backoff += a.backoff_ms;
+    }
+    if (a.stage == "ChunkedTopK") chunked = true;
+    if (i + 1 == log.size() || !failed) continue;
+    if (log[i + 1].stage != a.stage) {
+      ++fallbacks;  // moved on after a failure
+    } else if (a.detail.rfind("verification:", 0) == 0) {
+      ++reruns;  // the same stage ran again after a rejected result
+    }
+  }
+  EXPECT_EQ(rep.faults_seen, faults);
+  EXPECT_EQ(rep.retries, retried);
+  EXPECT_EQ(rep.backoff_ms, backoff);  // bitwise: same terms, same order
+  EXPECT_EQ(rep.corruption_reruns, reruns);
+  EXPECT_EQ(rep.fallbacks, fallbacks);
+  if (rep.faults_seen == 0) {
+    EXPECT_EQ(rep.added_latency_ms, 0.0);
+  }
+  // Failed attempts' device time includes the backoff charged after them.
+  EXPECT_GE(rep.added_latency_ms, rep.backoff_ms - 1e-9);
+  EXPECT_EQ(log.back().code, StatusCode::kOk);
+  EXPECT_EQ(log.back().stage, rep.final_algorithm);
+  EXPECT_EQ(rep.used_cpu, rep.final_algorithm.rfind("cpu:", 0) == 0);
+  EXPECT_EQ(rep.degraded_to_chunked, chunked);
+}
+
+struct CampaignTotals {
+  int ok = 0, retries = 0, reruns = 0, chunked = 0, cpu = 0;
+};
+
+// Runs the campaign over one element type through both entry points.
+template <typename E>
+void RunReportCampaign(const std::vector<E>& data, size_t k,
+                       CampaignTotals* totals) {
+  const size_t n = data.size();
+  std::vector<E> ref = data;
+  std::sort(ref.begin(), ref.end(), [](const E& a, const E& b) {
+    return ElementTraits<E>::Less(b, a);
+  });
+  ref.resize(k);
+  auto key = [](const E& e) { return ElementTraits<E>::PrimaryKey(e); };
+  for (const Scenario& sc : ReportCampaign()) {
+    for (bool device_input : {false, true}) {
+      const std::string where =
+          sc.name + (device_input ? " (device input)" : " (host input)");
+      simt::Device dev(sc.tiny_memory
+                           ? TinyMemorySpec(n * sizeof(E))
+                           : simt::DeviceSpec::TitanXMaxwell());
+      planner::ResilienceOptions opts;
+      opts.max_retries = sc.max_retries;
+      StatusOr<planner::ResilientResult<E>> r = Status::Internal("not run");
+      if (device_input) {
+        auto buf = dev.Alloc<E>(n).value();
+        ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
+        Install(dev, sc.faults);
+        r = planner::ResilientTopKDevice(dev, buf, n, k, opts);
+      } else {
+        Install(dev, sc.faults);
+        r = planner::ResilientTopK(dev, data.data(), n, k, opts);
+      }
+      if (!r.ok()) {
+        // Only exhausted retries of the input transfer may fail the call.
+        EXPECT_EQ(r.status().code(), StatusCode::kUnavailable) << where;
+        continue;
+      }
+      ASSERT_EQ(r->items.size(), k) << where;
+      for (size_t i = 0; i < k; ++i) {
+        ASSERT_EQ(key(r->items[i]), key(ref[i])) << where << " item " << i;
+      }
+      ExpectReportMatchesAttempts(r->report, where);
+      ++totals->ok;
+      totals->retries += r->report.retries;
+      totals->reruns += r->report.corruption_reruns;
+      totals->chunked += r->report.degraded_to_chunked;
+      totals->cpu += r->report.used_cpu;
+    }
+  }
+}
+
+TEST(ResilientTopKTest, ReportAgreesWithAttemptLog) {
+  const size_t n = 1 << 12;
+  const size_t k = 32;
+  auto keys = GenerateFloats(n, Distribution::kUniform, 5);
+  std::vector<KV> kv(n);
+  for (size_t i = 0; i < n; ++i) {
+    kv[i] = KV{keys[i], static_cast<uint32_t>(i)};
+  }
+  CampaignTotals totals;
+  RunReportCampaign(keys, k, &totals);
+  RunReportCampaign(kv, k, &totals);
+  // The campaign must exercise every recovery path it checks.
+  EXPECT_GT(totals.ok, 100);
+  EXPECT_GT(totals.retries, 0);
+  EXPECT_GT(totals.reruns, 0);
+  EXPECT_GT(totals.chunked, 0);
+  EXPECT_GT(totals.cpu, 0);
 }
 
 // --- Engine routing ----------------------------------------------------------
