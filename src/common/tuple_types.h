@@ -146,6 +146,17 @@ struct ElementTraits<KV64> {
   }
 };
 
+/// The unsigned order-preserving bit pattern of an element's primary key
+/// (key_transform.h), which the radix and bucket kernels digit and bin.
+template <typename E>
+using KeyBits = typename KeyTraits<typename ElementTraits<E>::Key>::Unsigned;
+
+template <typename E>
+constexpr KeyBits<E> OrderedKeyBits(const E& e) {
+  using Key = typename ElementTraits<E>::Key;
+  return KeyTraits<Key>::ToOrderedBits(ElementTraits<E>::PrimaryKey(e));
+}
+
 }  // namespace mptopk
 
 #endif  // MPTOPK_COMMON_TUPLE_TYPES_H_

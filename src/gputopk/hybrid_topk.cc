@@ -218,19 +218,9 @@ StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
   return finish(std::move(r));
 }
 
-template <typename E>
-StatusOr<TopKResult<E>> HybridTopK(const simt::ExecCtx& dev, const E* data, size_t n,
-                                   size_t k) {
-  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
-  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
-  return HybridTopKDevice(dev, buf, n, k);
-}
-
 #define MPTOPK_INSTANTIATE_HYBRID(E)                                        \
   template StatusOr<TopKResult<E>> HybridTopKDevice<E>(                     \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);              \
-  template StatusOr<TopKResult<E>> HybridTopK<E>(const simt::ExecCtx&,      \
-                                                 const E*, size_t, size_t);
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
 
 MPTOPK_INSTANTIATE_HYBRID(float)
 MPTOPK_INSTANTIATE_HYBRID(double)

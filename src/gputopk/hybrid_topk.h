@@ -37,11 +37,6 @@ StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
                                          simt::DeviceBuffer<E>& data,
                                          size_t n, size_t k);
 
-/// Host-staging convenience wrapper.
-template <typename E>
-StatusOr<TopKResult<E>> HybridTopK(const simt::ExecCtx& dev, const E* data, size_t n,
-                                   size_t k);
-
 }  // namespace mptopk::gpu
 
 #endif  // MPTOPK_GPUTOPK_HYBRID_TOPK_H_

@@ -37,12 +37,6 @@ Status FillDevice(const simt::ExecCtx& dev, simt::DeviceBuffer<T>& buf,
   return st.ok() ? Status::OK() : st.status();
 }
 
-template <typename T>
-Status FillDevice(simt::Device& dev, simt::DeviceBuffer<T>& buf, size_t offset,
-                  size_t count, T value) {
-  return FillDevice(simt::ExecCtx(dev), buf, offset, count, value);
-}
-
 /// Block-scope exclusive prefix sum over `count` uint32 values living in
 /// shared memory (Hillis-Steele over a power-of-two padded range). Must be
 /// called from kernel (block) scope. On return, data[i] holds the exclusive
@@ -104,11 +98,9 @@ inline void BlockExclusiveScan(simt::Block& blk,
 /// counters so an algorithm can report exactly what it consumed.
 class DeviceTimeTracker {
  public:
-  explicit DeviceTimeTracker(simt::Device& dev)
-      : dev_(dev), start_ms_(dev.total_sim_ms()),
-        start_launches_(dev.kernel_log().size()) {}
   explicit DeviceTimeTracker(const simt::ExecCtx& ctx)
-      : DeviceTimeTracker(ctx.device()) {}
+      : dev_(ctx.device()), start_ms_(dev_.total_sim_ms()),
+        start_launches_(dev_.kernel_log().size()) {}
 
   double ElapsedMs() const { return dev_.total_sim_ms() - start_ms_; }
   int Launches() const {

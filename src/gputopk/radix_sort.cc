@@ -14,7 +14,6 @@
 #include <algorithm>
 
 #include "common/bits.h"
-#include "common/key_transform.h"
 #include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu {
@@ -39,17 +38,8 @@ constexpr size_t RadixTile() {
 }
 
 template <typename E>
-using KeyBits = typename KeyTraits<typename ElementTraits<E>::Key>::Unsigned;
-
-template <typename E>
-KeyBits<E> OrderedBits(const E& e) {
-  using Key = typename ElementTraits<E>::Key;
-  return KeyTraits<Key>::ToOrderedBits(ElementTraits<E>::PrimaryKey(e));
-}
-
-template <typename E>
 uint32_t DigitOf(const E& e, int pass) {
-  return ExtractDigitLsd(OrderedBits<E>(e), pass, kRadixBits);
+  return ExtractDigitLsd(OrderedKeyBits(e), pass, kRadixBits);
 }
 
 // Pass 1: per-block digit histogram into hist[bin * grid + block]. Each
@@ -295,21 +285,11 @@ StatusOr<TopKResult<E>> SortTopKDevice(const simt::ExecCtx& dev,
   return result;
 }
 
-template <typename E>
-StatusOr<TopKResult<E>> SortTopK(const simt::ExecCtx& dev, const E* data, size_t n,
-                                 size_t k) {
-  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
-  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
-  return SortTopKDevice(dev, buf, n, k);
-}
-
 #define MPTOPK_INSTANTIATE_SORT(E)                                          \
   template Status RadixSortDevice<E>(const simt::ExecCtx&, DeviceBuffer<E>&,        \
                                      size_t, DeviceBuffer<E>*);              \
   template StatusOr<TopKResult<E>> SortTopKDevice<E>(                        \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);                      \
-  template StatusOr<TopKResult<E>> SortTopK<E>(const simt::ExecCtx&, const E*,      \
-                                               size_t, size_t);
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
 
 MPTOPK_INSTANTIATE_SORT(float)
 MPTOPK_INSTANTIATE_SORT(double)

@@ -28,11 +28,6 @@ StatusOr<TopKResult<E>> SortTopKDevice(const simt::ExecCtx& dev,
                                        simt::DeviceBuffer<E>& data, size_t n,
                                        size_t k);
 
-/// Host-staging convenience wrapper.
-template <typename E>
-StatusOr<TopKResult<E>> SortTopK(const simt::ExecCtx& dev, const E* data, size_t n,
-                                 size_t k);
-
 }  // namespace mptopk::gpu
 
 #endif  // MPTOPK_GPUTOPK_RADIX_SORT_H_

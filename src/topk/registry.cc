@@ -10,12 +10,11 @@
 
 #include "cputopk/cpu_topk.h"
 #include "gputopk/bitonic_topk.h"
-#include "gputopk/bucket_select.h"
 #include "gputopk/chunked.h"
 #include "gputopk/hybrid_topk.h"
 #include "gputopk/perthread_topk.h"
-#include "gputopk/radix_select.h"
 #include "gputopk/radix_sort.h"
+#include "gputopk/select.h"
 
 namespace mptopk::topk {
 

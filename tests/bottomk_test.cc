@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/distributions.h"
 #include "topk/registry.h"
@@ -17,6 +18,9 @@ namespace {
 
 // Off every warp and tile boundary.
 constexpr size_t kN = 10007;
+// Above kMaxGrid (128) x the largest selection tile (2048 elements), so each
+// block of the bounded-grid selection kernels loops over several tiles.
+constexpr size_t kManyTilesN = (size_t{1} << 18) + 1;
 
 template <typename E>
 std::vector<E> ReferenceBottom(std::vector<E> data, size_t k) {
@@ -48,18 +52,21 @@ std::vector<KV> KeysWithIndexPayload(const std::vector<float>& keys) {
 }
 
 // Bottom-k of `data` through the host entry and, for operators with a
-// device-resident entry, through BottomKDevice on a staged copy.
+// device-resident entry, through BottomKDevice on a staged copy. Every block
+// runs; `trace_sample` > 0 traces (and race-checks) only that many per launch.
 template <typename E>
 std::vector<gpu::TopKResult<E>> RunBottomK(const topk::TopKOperator* op,
                                            const std::vector<E>& data,
-                                           size_t k) {
+                                           size_t k, int trace_sample = 0) {
   std::vector<gpu::TopKResult<E>> out;
   simt::Device host_dev;
+  host_dev.set_trace_sample_target(trace_sample);
   auto r = op->BottomKHost(host_dev, data.data(), data.size(), k);
   EXPECT_TRUE(r.ok()) << op->name() << " host: " << r.status();
   if (r.ok()) out.push_back(std::move(r).value());
   if (HasDeviceEntry(op)) {
     simt::Device dev;
+    dev.set_trace_sample_target(trace_sample);
     auto buf = dev.Alloc<E>(data.size());
     EXPECT_TRUE(buf.ok());
     if (!buf.ok()) return out;
@@ -103,20 +110,26 @@ TEST_P(BottomKTest, SignedIntsIncludingMin) {
 TEST_P(BottomKTest, KVPayloadsFollowSmallestKeys) {
   const topk::TopKOperator* op = GetParam();
   ASSERT_TRUE(op->SupportsElem<KV>()) << op->name();
-  const auto data =
-      KeysWithIndexPayload(GenerateFloats(kN, Distribution::kUniform, 23));
-  const auto expect = ReferenceBottom(data, 16);
-  for (const auto& r : RunBottomK(op, data, 16)) {
-    ASSERT_EQ(r.items.size(), 16u);
-    std::set<uint32_t> payloads;
-    for (size_t i = 0; i < 16; ++i) {
-      const KV& kv = r.items[i];
-      EXPECT_EQ(kv.key, expect[i].key) << op->name() << " rank " << i;
-      ASSERT_LT(kv.value, data.size()) << op->name();
-      EXPECT_EQ(data[kv.value].key, kv.key) << op->name() << " rank " << i;
-      payloads.insert(kv.value);
+  // At kManyTilesN only 8 blocks per launch are traced (and race-checked),
+  // which keeps the case cheap; those blocks still loop over several tiles.
+  for (auto [n, trace_sample] : {std::pair<size_t, int>{kN, 0},
+                                 std::pair<size_t, int>{kManyTilesN, 8}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto data =
+        KeysWithIndexPayload(GenerateFloats(n, Distribution::kUniform, 23));
+    const auto expect = ReferenceBottom(data, 16);
+    for (const auto& r : RunBottomK(op, data, 16, trace_sample)) {
+      ASSERT_EQ(r.items.size(), 16u);
+      std::set<uint32_t> payloads;
+      for (size_t i = 0; i < 16; ++i) {
+        const KV& kv = r.items[i];
+        EXPECT_EQ(kv.key, expect[i].key) << op->name() << " rank " << i;
+        ASSERT_LT(kv.value, data.size()) << op->name();
+        EXPECT_EQ(data[kv.value].key, kv.key) << op->name() << " rank " << i;
+        payloads.insert(kv.value);
+      }
+      EXPECT_EQ(payloads.size(), 16u) << op->name() << ": duplicated payload";
     }
-    EXPECT_EQ(payloads.size(), 16u) << op->name() << ": duplicated payload";
   }
 }
 

@@ -26,6 +26,15 @@ void CheckAgainstReference(const TopKResult<E>& got, std::vector<E> data,
   }
 }
 
+// Host-staged run of the HybridTopK operator (power-of-two k runs the
+// kernel as is).
+template <typename E>
+StatusOr<TopKResult<E>> RunHybrid(simt::Device& dev, const std::vector<E>& data,
+                                  size_t k) {
+  return topk::FindOperator("HybridTopK").value()->TopKHost(
+      dev, data.data(), data.size(), k);
+}
+
 struct HybridCase {
   size_t k;
   Distribution dist;
@@ -37,7 +46,7 @@ TEST_P(HybridSweepTest, MatchesReference) {
   auto [k, dist] = GetParam();
   auto data = GenerateFloats(1 << 16, dist, 13 * k);
   simt::Device dev;
-  auto r = HybridTopK(dev, data.data(), data.size(), k);
+  auto r = RunHybrid(dev, data, k);
   ASSERT_TRUE(r.ok()) << r.status();
   CheckAgainstReference(*r, data, k);
 }
@@ -62,7 +71,7 @@ TEST(HybridTopKTest, BucketKillerTakesFallback) {
   // still be correct.
   auto data = GenerateFloats(1 << 16, Distribution::kBucketKiller);
   simt::Device with_hybrid, plain;
-  auto hy = HybridTopK(with_hybrid, data.data(), data.size(), 32);
+  auto hy = RunHybrid(with_hybrid, data, 32);
   auto bi = BitonicTopK(plain, data.data(), data.size(), 32);
   ASSERT_TRUE(hy.ok());
   ASSERT_TRUE(bi.ok());
@@ -80,7 +89,7 @@ TEST(HybridTopKTest, BeatsBitonicOnUniformIntsAtScale) {
   simt::Device d1, d2;
   d1.set_trace_sample_target(24);
   d2.set_trace_sample_target(24);
-  auto hy = HybridTopK(d1, data.data(), n, 32);
+  auto hy = RunHybrid(d1, data, 32);
   auto bi = BitonicTopK(d2, data.data(), n, 32);
   ASSERT_TRUE(hy.ok());
   ASSERT_TRUE(bi.ok());
@@ -98,7 +107,7 @@ TEST(HybridTopKTest, BeatsBitonicOnUniformFloatsAtScale) {
   simt::Device d1, d2;
   d1.set_trace_sample_target(24);
   d2.set_trace_sample_target(24);
-  auto hy = HybridTopK(d1, data.data(), n, 32);
+  auto hy = RunHybrid(d1, data, 32);
   auto bi = BitonicTopK(d2, data.data(), n, 32);
   ASSERT_TRUE(hy.ok());
   ASSERT_TRUE(bi.ok());
@@ -113,7 +122,7 @@ TEST(HybridTopKTest, KVPayloadsSurvive) {
     data[i] = KV{keys[i], static_cast<uint32_t>(i)};
   }
   simt::Device dev;
-  auto r = HybridTopK(dev, data.data(), data.size(), 64);
+  auto r = RunHybrid(dev, data, 64);
   ASSERT_TRUE(r.ok()) << r.status();
   for (const KV& kv : r->items) {
     EXPECT_EQ(data[kv.value].key, kv.key);
@@ -133,9 +142,12 @@ TEST(HybridTopKTest, OperatorRoundsUpNonPowerOfTwoK) {
 TEST(HybridTopKTest, RejectsBadArguments) {
   auto data = GenerateFloats(128, Distribution::kUniform);
   simt::Device dev;
-  EXPECT_FALSE(HybridTopK(dev, data.data(), 128, 0).ok());
-  EXPECT_FALSE(HybridTopK(dev, data.data(), 128, 3).ok());
-  EXPECT_FALSE(HybridTopK(dev, data.data(), 128, 256).ok());
+  // The raw kernel's k rule: power-of-two k <= n (the operator rounds k up).
+  auto buf = dev.Alloc<float>(data.size()).value();
+  ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), data.size()).ok());
+  EXPECT_FALSE(HybridTopKDevice(dev, buf, 128, 0).ok());
+  EXPECT_FALSE(HybridTopKDevice(dev, buf, 128, 3).ok());
+  EXPECT_FALSE(HybridTopKDevice(dev, buf, 128, 256).ok());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Property-based differential campaign: a seeded generator sweeps
 // n x k x distribution (uniform / zipf / all-equal / sorted / reverse-sorted
-// / NaN-Inf mix) across every operator in the top-k registry -- GPU
+// / NaN-Inf mix / shared prefix) across every operator in the top-k registry -- GPU
 // algorithms, the sampling hybrid, the chunked executor and the CPU
 // backends enumerate from topk::Registry::All(), so a newly registered
 // operator joins the campaign with zero edits here. Each run is checked
@@ -41,10 +41,12 @@ enum class Dist {
   kSorted,
   kReverseSorted,
   kNanInfMix,
+  kSharedPrefix,
 };
 constexpr Dist kAllDists[] = {Dist::kUniform,  Dist::kZipf,
                               Dist::kAllEqual, Dist::kSorted,
-                              Dist::kReverseSorted, Dist::kNanInfMix};
+                              Dist::kReverseSorted, Dist::kNanInfMix,
+                              Dist::kSharedPrefix};
 
 const char* DistName(Dist d) {
   switch (d) {
@@ -54,6 +56,7 @@ const char* DistName(Dist d) {
     case Dist::kSorted: return "sorted";
     case Dist::kReverseSorted: return "reverse-sorted";
     case Dist::kNanInfMix: return "nan-inf-mix";
+    case Dist::kSharedPrefix: return "shared-prefix";
   }
   return "?";
 }
@@ -98,6 +101,21 @@ std::vector<float> Generate(Dist d, size_t n, uint64_t seed) {
           case 4: x = std::numeric_limits<float>::denorm_min(); break;
           default: x = uni(rng); break;
         }
+      }
+      break;
+    }
+    case Dist::kSharedPrefix: {
+      // Keys agree in their top 16-24 ordered bits (sign, exponent and the
+      // leading mantissa bits), the skew case RadiK studies: Radix Select
+      // skips the shared leading digits and Bucket Select narrows its range
+      // over many passes.
+      const int prefix = 16 + static_cast<int>(rng() % 9);
+      const uint32_t low_mask = (1u << (32 - prefix)) - 1;
+      const uint32_t base =
+          KeyTraits<float>::ToOrderedBits(uni(rng)) & ~low_mask;
+      for (auto& x : v) {
+        x = KeyTraits<float>::FromOrderedBits(
+            base | (static_cast<uint32_t>(rng()) & low_mask));
       }
       break;
     }
