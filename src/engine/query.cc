@@ -260,17 +260,8 @@ Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
             }
           });
           blk.Sync();
-          gpu::bitonic::RunStepsShared(blk, s, g.tile, local_steps, g.nt, g);
-          size_t m = g.tile;
-          for (int mg = 0; mg < g.merges; ++mg) {
-            gpu::bitonic::MergeShared(blk, s, m, k, g);
-            m >>= 1;
-            if (mg + 1 < g.merges) {
-              gpu::bitonic::RunStepsShared(
-                  blk, s, m, rebuild_steps,
-                  gpu::bitonic::RebuildThreads(g, m), g);
-            }
-          }
+          gpu::bitonic::SortReduceTile(blk, s, k, local_steps, rebuild_steps,
+                                       g);
           blk.ForEachThread([&](Thread& t) {
             if (t.tid == 0) {
               meta.Write(t, 0, counters.AtomicAdd(

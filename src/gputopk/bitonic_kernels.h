@@ -204,6 +204,25 @@ int RebuildThreads(const Geometry<E>& g, size_t m) {
       32, std::min<size_t>(g.nt, m / g.B > 0 ? m / g.B : 1)));
 }
 
+// In-shared reduction of one loaded tile s[0, tile): local sort into k-runs,
+// then g.merges merges with a rebuild between consecutive ones, leaving
+// tile >> merges candidates (bitonic k-runs) in s.
+template <typename E>
+void SortReduceTile(Block& blk, SharedSpan<E> s, size_t k,
+                    const std::vector<BitonicStep>& local_steps,
+                    const std::vector<BitonicStep>& rebuild_steps,
+                    const Geometry<E>& g) {
+  RunStepsShared(blk, s, g.tile, local_steps, g.nt, g);
+  size_t m = g.tile;
+  for (int mg = 0; mg < g.merges; ++mg) {
+    MergeShared(blk, s, m, k, g);
+    m >>= 1;
+    if (mg + 1 < g.merges) {
+      RunStepsShared(blk, s, m, rebuild_steps, RebuildThreads(g, m), g);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kernels.
 // ---------------------------------------------------------------------------
@@ -252,15 +271,7 @@ Status LaunchSortReducer(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
         size_t base = static_cast<size_t>(blk.block_idx()) * g.tile;
         size_t count = std::min(g.tile, n - std::min(n, base));
         LoadTile(blk, in, base, count, s, g.tile, g);
-        RunStepsShared(blk, s, g.tile, local_steps, g.nt, g);
-        size_t m = g.tile;
-        for (int mg = 0; mg < g.merges; ++mg) {
-          MergeShared(blk, s, m, k, g);
-          m >>= 1;
-          if (mg + 1 < g.merges) {
-            RunStepsShared(blk, s, m, rebuild_steps, RebuildThreads(g, m), g);
-          }
-        }
+        SortReduceTile(blk, s, k, local_steps, rebuild_steps, g);
         StoreTile(blk, s, out, static_cast<size_t>(blk.block_idx()) * opb, opb,
                   g);
       });

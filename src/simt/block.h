@@ -77,7 +77,7 @@ class Block {
   /// Block-wide barrier (`__syncthreads`). Execution is already sequential;
   /// this re-aligns warp sequence counters so accesses in different epochs
   /// never coalesce into one warp instruction, and advances the tracer's
-  /// barrier epoch (the happens-before boundary simt::RaceChecker uses).
+  /// barrier epoch (the happens-before boundary simt::BlockRaceCheck uses).
   void Sync() {
     if (tracer_ != nullptr) {
       AlignWarpSequences();

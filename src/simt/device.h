@@ -212,12 +212,11 @@ class Device {
     // atomics/turnstile contract that makes the traces themselves
     // worker-count-invariant). One worker runs the blocks inline in order.
     struct WorkerCtx {
-      WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg,
-                bool keep_log)
-          : block(spec, cfg.grid_dim, cfg.block_dim),
-            tracer(spec, cfg.block_dim, keep_log) {}
+      WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg)
+          : block(spec, cfg.grid_dim, cfg.block_dim), tracer(spec) {}
       Block block;
       BlockTracer tracer;
+      BlockRaceCheck race_check;
       KernelMetrics metrics;
       size_t shared_used = 0;
       std::vector<std::pair<int, RaceReport>> race;  // per traced block
@@ -226,7 +225,7 @@ class Device {
     std::vector<std::unique_ptr<WorkerCtx>> ctx;
     ctx.reserve(workers);
     for (int w = 0; w < workers; ++w) {
-      ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg, racecheck_));
+      ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg));
     }
     LaunchOrder order(cfg.grid_dim);
     // Set by the first block that overflows shared memory; blocks that have
@@ -237,7 +236,10 @@ class Device {
       WorkerCtx& cx = *ctx[w];
       if (!overflowed.load(std::memory_order_relaxed)) {
         bool traced = (b % stride) == 0;
-        if (traced) cx.tracer.Reset(cfg.block_dim);
+        if (traced) {
+          cx.tracer.Reset(racecheck_ ? &cx.race_check : nullptr);
+          if (racecheck_) cx.race_check.Begin(&stats.name, b, spec_.warp_size);
+        }
         cx.block.ResetFor(b, traced ? &cx.tracer : nullptr, &order);
         body(cx.block);
         size_t used = cx.block.shared_bytes_used();
@@ -247,9 +249,7 @@ class Device {
         } else if (traced) {
           cx.tracer.Analyze(&cx.metrics);
           if (racecheck_) {
-            cx.race.emplace_back(b, RaceReport{});
-            RaceChecker::CheckBlock(cx.tracer, spec_, stats.name, b,
-                                    &cx.race.back().second);
+            cx.race.emplace_back(b, cx.race_check.Finish(cx.tracer.epoch()));
           }
         }
       }

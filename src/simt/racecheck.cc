@@ -8,18 +8,7 @@
 namespace mptopk::simt {
 namespace {
 
-// Flattened access with its owning thread, the unit the sweep sorts.
-struct Rec {
-  uint64_t addr;
-  uint32_t epoch;
-  uint32_t seq;
-  uint32_t size;
-  int tid;
-  bool write;
-  bool atomic;
-};
-
-bool Conflicts(const Rec& x, const Rec& y, int warp_size) {
+bool Conflicts(const RaceAccess& x, const RaceAccess& y, int warp_size) {
   if (x.tid == y.tid) return false;
   if (!x.write && !y.write) return false;
   if (x.atomic && y.atomic) return false;
@@ -29,7 +18,7 @@ bool Conflicts(const Rec& x, const Rec& y, int warp_size) {
   return true;
 }
 
-RaceHazard::Party MakeParty(const Rec& r, int warp_size) {
+RaceHazard::Party MakeParty(const RaceAccess& r, int warp_size) {
   RaceHazard::Party p;
   p.tid = r.tid;
   p.lane = r.tid % warp_size;
@@ -42,108 +31,105 @@ RaceHazard::Party MakeParty(const Rec& r, int warp_size) {
   return p;
 }
 
-void MaybeHazard(const Rec& x, const Rec& y, int warp_size,
-                 RaceHazard::Space space, const std::string& kernel,
-                 int block_idx, RaceReport* report) {
-  if (!Conflicts(x, y, warp_size)) return;
-  ++report->hazard_count;
-  if (report->hazards.size() >= RaceReport::kMaxRecordedHazards) return;
-  RaceHazard h;
-  h.kernel = kernel;
-  h.space = space;
-  h.block_idx = block_idx;
-  h.epoch = x.epoch;
-  h.a = MakeParty(x, warp_size);
-  h.b = MakeParty(y, warp_size);
-  h.addr = std::max(x.addr, y.addr);
-  h.bytes = static_cast<uint32_t>(
-      std::min(x.addr + x.size, y.addr + y.size) - h.addr);
-  report->hazards.push_back(std::move(h));
+}  // namespace
+
+void BlockRaceCheck::Begin(const std::string* kernel, int block_idx,
+                           int warp_size) {
+  kernel_ = kernel;
+  block_idx_ = block_idx;
+  warp_size_ = warp_size;
+  shared_.clear();
+  global_.clear();
+  shared_report_ = RaceReport{};
+  global_report_ = RaceReport{};
 }
 
-// Checks one address space of one block. The sweep sorts all accesses by
-// (epoch, addr) and walks runs of identical (epoch, addr); `active` carries
-// earlier records of the epoch whose byte range still reaches the current
-// run (only possible with mixed access sizes, so it is almost always empty).
-// Pairs within a run are enumerated only when the run holds a write and a
-// non-atomic access: read-only runs (broadcasts: every thread reading one
-// shared word) and atomic-only runs (histogram bins, which radix select
-// hits thousands of times per epoch) cannot conflict, and skipping them
-// keeps those patterns linear instead of quadratic.
-void CheckSpace(const std::vector<std::vector<BlockTracer::Access>>& per_tid,
-                int block_dim, int warp_size, RaceHazard::Space space,
-                const std::string& kernel, int block_idx, RaceReport* report) {
-  size_t total = 0;
-  for (int t = 0; t < block_dim; ++t) total += per_tid[t].size();
-  if (total < 2) return;
+void BlockRaceCheck::CloseEpoch(uint32_t epoch) {
+  Sweep(&shared_, RaceHazard::Space::kShared, epoch, &shared_report_);
+  Sweep(&global_, RaceHazard::Space::kGlobal, epoch, &global_report_);
+}
 
-  std::vector<Rec> recs;
-  recs.reserve(total);
-  for (int t = 0; t < block_dim; ++t) {
-    for (const BlockTracer::Access& a : per_tid[t]) {
-      recs.push_back(Rec{a.addr, a.epoch, a.seq, a.size, t, a.write, a.atomic});
-    }
+RaceReport BlockRaceCheck::Finish(uint32_t last_epoch) {
+  CloseEpoch(last_epoch);
+  RaceReport report = std::move(shared_report_);
+  report.Merge(global_report_);
+  report.blocks_checked = 1;
+  return report;
+}
+
+// The sweep sorts the epoch's accesses by address and walks runs of one
+// address; `active_` carries earlier accesses whose byte range still reaches
+// the current run (only possible with mixed access sizes, so it is almost
+// always empty). Pairs within a run are enumerated only when the run holds
+// a write and a non-atomic access: read-only runs (broadcasts: every thread
+// reading one shared word) and atomic-only runs (histogram bins, which radix
+// select hits thousands of times per epoch) cannot conflict, and skipping
+// them keeps those patterns linear instead of quadratic.
+void BlockRaceCheck::Sweep(std::vector<RaceAccess>* accesses,
+                           RaceHazard::Space space, uint32_t epoch,
+                           RaceReport* report) {
+  std::vector<RaceAccess>& recs = *accesses;
+  if (recs.size() < 2) {
+    recs.clear();
+    return;
   }
-  std::sort(recs.begin(), recs.end(), [](const Rec& x, const Rec& y) {
-    if (x.epoch != y.epoch) return x.epoch < y.epoch;
-    if (x.addr != y.addr) return x.addr < y.addr;
-    if (x.tid != y.tid) return x.tid < y.tid;
-    return x.seq < y.seq;
-  });
+  std::sort(recs.begin(), recs.end(),
+            [](const RaceAccess& x, const RaceAccess& y) {
+              if (x.addr != y.addr) return x.addr < y.addr;
+              if (x.tid != y.tid) return x.tid < y.tid;
+              return x.seq < y.seq;
+            });
 
-  std::vector<Rec> active;
-  uint32_t cur_epoch = recs[0].epoch + 1;  // forces a clear on entry
+  auto maybe_hazard = [&](const RaceAccess& x, const RaceAccess& y) {
+    if (!Conflicts(x, y, warp_size_)) return;
+    ++report->hazard_count;
+    if (report->hazards.size() >= RaceReport::kMaxRecordedHazards) return;
+    RaceHazard h;
+    h.kernel = *kernel_;
+    h.space = space;
+    h.block_idx = block_idx_;
+    h.epoch = epoch;
+    h.a = MakeParty(x, warp_size_);
+    h.b = MakeParty(y, warp_size_);
+    h.addr = std::max(x.addr, y.addr);
+    h.bytes = static_cast<uint32_t>(
+        std::min(x.addr + x.size, y.addr + y.size) - h.addr);
+    report->hazards.push_back(std::move(h));
+  };
+
+  active_.clear();
   size_t i = 0;
   while (i < recs.size()) {
-    if (recs[i].epoch != cur_epoch) {
-      active.clear();
-      cur_epoch = recs[i].epoch;
-    }
     const uint64_t addr = recs[i].addr;
     size_t j = i;
     bool any_write = false;
     bool any_plain = false;
-    while (j < recs.size() && recs[j].epoch == cur_epoch &&
-           recs[j].addr == addr) {
+    while (j < recs.size() && recs[j].addr == addr) {
       any_write |= recs[j].write;
       any_plain |= !recs[j].atomic;
       ++j;
     }
 
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [addr](const Rec& r) {
-                                  return r.addr + r.size <= addr;
-                                }),
-                 active.end());
-    for (const Rec& a : active) {
-      for (size_t k = i; k < j; ++k) {
-        MaybeHazard(a, recs[k], warp_size, space, kernel, block_idx, report);
-      }
+    active_.erase(std::remove_if(active_.begin(), active_.end(),
+                                 [addr](const RaceAccess& r) {
+                                   return r.addr + r.size <= addr;
+                                 }),
+                  active_.end());
+    for (const RaceAccess& a : active_) {
+      for (size_t k = i; k < j; ++k) maybe_hazard(a, recs[k]);
     }
     if (any_write && any_plain) {
       for (size_t p = i; p < j; ++p) {
         for (size_t q = p + 1; q < j; ++q) {
           if (!recs[p].write && !recs[q].write) continue;
-          MaybeHazard(recs[p], recs[q], warp_size, space, kernel, block_idx,
-                      report);
+          maybe_hazard(recs[p], recs[q]);
         }
       }
     }
-    for (size_t k = i; k < j; ++k) active.push_back(recs[k]);
+    for (size_t k = i; k < j; ++k) active_.push_back(recs[k]);
     i = j;
   }
-}
-
-}  // namespace
-
-void RaceChecker::CheckBlock(const BlockTracer& tracer, const DeviceSpec& spec,
-                             const std::string& kernel, int block_idx,
-                             RaceReport* report) {
-  CheckSpace(tracer.shared_accesses(), tracer.block_dim(), spec.warp_size,
-             RaceHazard::Space::kShared, kernel, block_idx, report);
-  CheckSpace(tracer.global_accesses(), tracer.block_dim(), spec.warp_size,
-             RaceHazard::Space::kGlobal, kernel, block_idx, report);
-  ++report->blocks_checked;
+  recs.clear();
 }
 
 std::string RaceHazard::ToString() const {

@@ -4,9 +4,9 @@
 // The sequential `ForEachThread` loops make every kernel produce the right
 // answer regardless of barriers, so a missing `Block::Sync()` — a data race
 // on real hardware — is invisible to the correctness tests. The checker
-// closes that gap: `Block::Sync()` advances a barrier-epoch counter in the
-// tracer, every traced access carries its epoch, and two accesses to
-// overlapping bytes form a hazard when
+// closes that gap: `Block::Sync()` ends a barrier epoch, the tracer buffers
+// each epoch's traced accesses and checks them as the epoch closes, and two
+// accesses to overlapping bytes form a hazard when
 //
 //   * they happen in the same epoch (no barrier orders them),
 //   * they come from different threads,
@@ -24,18 +24,15 @@
 // which is sound for this library's block-homogeneous kernels.
 //
 // Enabled per device (Device::set_racecheck, or the MPTOPK_RACECHECK
-// environment variable for every Device); when off, the tracer keeps no
-// per-thread access log at all. Epochs never feed the timing model —
-// simulated timings are bit-identical either way. See docs/racecheck.md.
+// environment variable for every Device); when off, the tracer buffers no
+// accesses for it at all. Epochs never feed the timing model — simulated
+// timings are bit-identical either way. See docs/racecheck.md.
 #ifndef MPTOPK_SIMT_RACECHECK_H_
 #define MPTOPK_SIMT_RACECHECK_H_
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "simt/device_spec.h"
-#include "simt/trace.h"
 
 namespace mptopk::simt {
 
@@ -87,13 +84,50 @@ struct RaceReport {
   std::string Summary() const;
 };
 
-/// Stateless analysis: checks one traced block's recorded accesses and
-/// accumulates hazards into *report.
-class RaceChecker {
+/// One traced access awaiting its epoch's sweep.
+struct RaceAccess {
+  uint64_t addr;
+  uint32_t seq;
+  int32_t tid;
+  uint16_t size;
+  bool write;
+  bool atomic;
+};
+
+/// Checks one traced block, one barrier epoch at a time. The block's tracer
+/// appends every access of the current epoch; CloseEpoch() sweeps and
+/// clears those buffers when Block::Sync() ends the epoch, and Finish()
+/// closes the last epoch and hands over the block's report.
+class BlockRaceCheck {
  public:
-  static void CheckBlock(const BlockTracer& tracer, const DeviceSpec& spec,
-                         const std::string& kernel, int block_idx,
-                         RaceReport* report);
+  /// Starts checking block `block_idx` of `kernel` (which must outlive the
+  /// block), discarding whatever a previous block left.
+  void Begin(const std::string* kernel, int block_idx, int warp_size);
+
+  // Inline: the traced-access path of every armed block.
+  void AddShared(const RaceAccess& a) { shared_.push_back(a); }
+  void AddGlobal(const RaceAccess& a) { global_.push_back(a); }
+
+  /// Sweeps the accesses buffered since the last close, all of barrier
+  /// epoch `epoch`, and clears them.
+  void CloseEpoch(uint32_t epoch);
+
+  /// Closes `last_epoch` and returns the block's report: its shared
+  /// hazards in epoch order, then its global ones.
+  RaceReport Finish(uint32_t last_epoch);
+
+ private:
+  void Sweep(std::vector<RaceAccess>* accesses, RaceHazard::Space space,
+             uint32_t epoch, RaceReport* report);
+
+  const std::string* kernel_ = nullptr;
+  int block_idx_ = 0;
+  int warp_size_ = 32;
+  std::vector<RaceAccess> shared_;
+  std::vector<RaceAccess> global_;
+  std::vector<RaceAccess> active_;  // Sweep's scratch
+  RaceReport shared_report_;
+  RaceReport global_report_;
 };
 
 /// True when the MPTOPK_RACECHECK environment variable enables checking

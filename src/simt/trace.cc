@@ -118,10 +118,8 @@ class BankCounter {
 
 }  // namespace
 
-BlockTracer::BlockTracer(const DeviceSpec& spec, int block_dim, bool keep_log)
+BlockTracer::BlockTracer(const DeviceSpec& spec)
     : spec_(spec),
-      block_dim_(block_dim),
-      keep_log_(keep_log),
       sector_shift_(std::countr_zero(static_cast<unsigned>(spec.sector_bytes))),
       word_shift_(
           std::countr_zero(static_cast<unsigned>(spec.bank_width_bytes))),
@@ -138,24 +136,14 @@ BlockTracer::BlockTracer(const DeviceSpec& spec, int block_dim, bool keep_log)
                  spec.shared_mem_banks, kMaxBanks);
     std::abort();
   }
-  global_log_.resize(block_dim);
-  shared_log_.resize(block_dim);
 }
 
-void BlockTracer::Reset(int block_dim) {
-  block_dim_ = block_dim;
-  if (static_cast<int>(global_log_.size()) < block_dim) {
-    global_log_.resize(block_dim);
-    shared_log_.resize(block_dim);
-  }
-  if (keep_log_) {
-    for (auto& v : global_log_) v.clear();
-    for (auto& v : shared_log_) v.clear();
-  }
+void BlockTracer::Reset(BlockRaceCheck* race) {
   global_.Clear();
   shared_.Clear();
   metrics_ = KernelMetrics{};
   epoch_ = 0;
+  race_ = race;
 }
 
 void BlockTracer::StartRun(Pending* p, int tid) {

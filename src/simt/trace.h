@@ -26,12 +26,12 @@
 // means no (warp, seq) instruction spans two regions, so the per-region
 // analysis sees exactly the instructions a whole-block analysis would.
 //
-// For simt::RaceChecker, which flags conflicting same-epoch accesses by
-// different threads (racecheck.h), the tracer can also keep every access of
-// the block in a per-thread log, stamped with the block's barrier epoch —
-// the number of Block::Sync() barriers executed before it. The log exists
-// only when the tracer is constructed with `keep_log` (the Device does so
-// while racecheck is armed); epochs never affect the timing analysis.
+// When racecheck is armed for a traced block (Reset with a BlockRaceCheck),
+// every access is also buffered for simt::BlockRaceCheck, which flags
+// conflicting accesses by different threads within one barrier epoch (the
+// stretch between two Block::Sync() barriers, racecheck.h). The buffer holds
+// the current epoch only: AdvanceEpoch() checks and clears it, so no access
+// outlives its epoch. Epochs never affect the timing analysis.
 #ifndef MPTOPK_SIMT_TRACE_H_
 #define MPTOPK_SIMT_TRACE_H_
 
@@ -40,49 +40,36 @@
 
 #include "simt/device_spec.h"
 #include "simt/metrics.h"
+#include "simt/racecheck.h"
 
 namespace mptopk::simt {
 
 class BlockTracer {
  public:
-  /// One traced memory access. `epoch` counts Block::Sync() barriers executed
-  /// before the access; `atomic` marks read-modify-write operations (both are
-  /// ignored by the timing analysis and consumed by simt::RaceChecker).
-  struct Access {
-    uint64_t addr;
-    uint32_t seq;
-    uint32_t epoch;
-    uint16_t size;
-    bool write;
-    bool atomic;
-  };
-
-  /// `keep_log` retains every access of the block per thread for
-  /// simt::RaceChecker (global_accesses() / shared_accesses()); without it
-  /// an access lives only until its warp is analyzed. The spec's sector
-  /// size, bank width and bank count must be powers of two, with at most
-  /// 64 banks.
-  BlockTracer(const DeviceSpec& spec, int block_dim, bool keep_log = false);
+  /// The spec's sector size, bank width and bank count must be powers of
+  /// two, with at most 64 banks.
+  explicit BlockTracer(const DeviceSpec& spec);
 
   /// Clears all recorded accesses and metrics (block reuse) and resets the
-  /// barrier epoch.
-  void Reset(int block_dim);
+  /// barrier epoch. A non-null `race` arms race checking for the block: each
+  /// access is also handed to *race, and each closed epoch is checked.
+  void Reset(BlockRaceCheck* race = nullptr);
 
   // Inline: every traced access of every kernel lands here.
   void RecordGlobal(int tid, uint32_t seq, uint64_t addr, uint32_t size,
                     bool write, bool atomic = false) {
     Record(&global_, tid, seq, addr, size, atomic);
-    if (keep_log_) {
-      global_log_[tid].push_back(Access{
-          addr, seq, epoch_, static_cast<uint16_t>(size), write, atomic});
+    if (race_ != nullptr) {
+      race_->AddGlobal(RaceAccess{addr, seq, tid, static_cast<uint16_t>(size),
+                                  write, atomic});
     }
   }
   void RecordShared(int tid, uint32_t seq, uint64_t addr, uint32_t size,
                     bool write, bool atomic) {
     Record(&shared_, tid, seq, addr, size, atomic);
-    if (keep_log_) {
-      shared_log_[tid].push_back(Access{
-          addr, seq, epoch_, static_cast<uint16_t>(size), write, atomic});
+    if (race_ != nullptr) {
+      race_->AddShared(RaceAccess{addr, seq, tid, static_cast<uint16_t>(size),
+                                  write, atomic});
     }
   }
   /// Register-spill traffic to thread-local memory (no warp analysis; billed
@@ -96,8 +83,12 @@ class BlockTracer {
     metrics_.dependent_stall_cycles += cycles;
   }
 
-  /// Advances the barrier epoch (called by Block::Sync on traced blocks).
-  void AdvanceEpoch() { ++epoch_; }
+  /// Ends the barrier epoch (called by Block::Sync on traced blocks),
+  /// race-checking it first when armed.
+  void AdvanceEpoch() {
+    if (race_ != nullptr) race_->CloseEpoch(epoch_);
+    ++epoch_;
+  }
   uint32_t epoch() const { return epoch_; }
 
   /// Analyzes the accesses recorded since the previous flush into this
@@ -109,16 +100,6 @@ class BlockTracer {
   /// Flushes whatever is still pending and accumulates this block's metrics
   /// into *m (counting one traced block).
   void Analyze(KernelMetrics* m);
-
-  // Retained per-thread access log, indexed by tid (for RaceChecker); the
-  // inner vectors stay empty unless the tracer keeps its log.
-  int block_dim() const { return block_dim_; }
-  const std::vector<std::vector<Access>>& global_accesses() const {
-    return global_log_;
-  }
-  const std::vector<std::vector<Access>>& shared_accesses() const {
-    return shared_log_;
-  }
 
  private:
   // An access awaiting warp analysis.
@@ -161,8 +142,6 @@ class BlockTracer {
   void AnalyzeShared();
 
   const DeviceSpec& spec_;
-  int block_dim_;
-  bool keep_log_;
   int sector_shift_;
   int word_shift_;
   uint64_t bank_mask_;
@@ -170,12 +149,10 @@ class BlockTracer {
   Pending shared_;
   KernelMetrics metrics_;
   uint32_t epoch_ = 0;
+  BlockRaceCheck* race_ = nullptr;
   // Heap scratch for warp instructions too wide for the stack buffers
   // (accesses far wider than any element type).
   std::vector<uint64_t> wide_;
-  // Indexed by tid; accesses in strictly increasing seq order per thread.
-  std::vector<std::vector<Access>> global_log_;
-  std::vector<std::vector<Access>> shared_log_;
 };
 
 }  // namespace mptopk::simt

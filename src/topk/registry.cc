@@ -57,7 +57,7 @@ Status TopKOperator::CheckShape(size_t n, size_t k) const {
   }                                                                          \
   StatusOr<gpu::TopKResult<T>> TopKOperator::RunHost(                        \
       const simt::ExecCtx& dev, const T* data, size_t n, size_t k) const {   \
-    if (caps_.backend != Backend::kGpuSim || caps_.streams_host_input) {     \
+    if (!has_device_entry()) {                                               \
       return Status::Unimplemented(name_ +                                   \
                                    " has no host entry point for " NAME);    \
     }                                                                        \
@@ -141,9 +141,8 @@ std::string Registry::KnownOperatorList() const {
 std::vector<const TopKOperator*> GpuSweepOperators(bool include_extensions) {
   std::vector<const TopKOperator*> out;
   for (const TopKOperator* op : Registry::Instance().All()) {
-    const OperatorCaps& c = op->caps();
-    if (c.backend != Backend::kGpuSim || c.streams_host_input) continue;
-    if (c.extension && !include_extensions) continue;
+    if (!op->has_device_entry()) continue;
+    if (op->caps().extension && !include_extensions) continue;
     out.push_back(op);
   }
   return out;
@@ -235,6 +234,13 @@ OperatorCaps GpuCaps(double (*cost)(const simt::DeviceSpec&,
   return c;
 }
 
+OperatorCaps ExtensionCaps(double (*cost)(const simt::DeviceSpec&,
+                                          const cost::Workload&)) {
+  OperatorCaps c = GpuCaps(cost);
+  c.extension = true;
+  return c;
+}
+
 // The comparison-network methods' k rule: round k up to a power of two,
 // trim the result, and fall back to radix select when the round-up would
 // exceed n.
@@ -249,109 +255,37 @@ StatusOr<gpu::TopKResult<E>> RunRoundedPow2(const simt::ExecCtx& dev,
   return r;
 }
 
-class SortOperator final : public TopKOperator {
+// A device-resident GPU operator: every element type's RunDevice hook
+// calls `run(dev, data, n, k)`, a stateless generic callable.
+template <typename Run>
+class GpuOperator final : public TopKOperator {
  public:
-  SortOperator() : TopKOperator("Sort", GpuCaps(&SortCost)) {}
+  GpuOperator(std::string name, std::string display_name, OperatorCaps caps,
+              Run run)
+      : TopKOperator(std::move(name), std::move(display_name), caps),
+        run_(run) {}
 
  protected:
 #define MPTOPK_X(T, EN, NAME)                                               \
   StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
       const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
       size_t k) const override {                                            \
-    return gpu::SortTopKDevice(dev, data, n, k);                            \
+    return run_(dev, data, n, k);                                           \
   }
   MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
 #undef MPTOPK_X
-};
-
-class PerThreadOperator final : public TopKOperator {
- public:
-  PerThreadOperator()
-      : TopKOperator("PerThreadTopK", "PerThread", GpuCaps(&PerThreadCost)) {}
-
- protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return gpu::PerThreadTopKDevice(dev, data, n, k);                       \
-  }
-  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
-#undef MPTOPK_X
-};
-
-class RadixSelectOperator final : public TopKOperator {
- public:
-  RadixSelectOperator()
-      : TopKOperator("RadixSelect", GpuCaps(&RadixSelectCost)) {}
-
- protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return gpu::RadixSelectTopKDevice(dev, data, n, k);                     \
-  }
-  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
-#undef MPTOPK_X
-};
-
-class BucketSelectOperator final : public TopKOperator {
- public:
-  BucketSelectOperator()
-      : TopKOperator("BucketSelect", GpuCaps(&BucketSelectCost)) {}
-
- protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return gpu::BucketSelectTopKDevice(dev, data, n, k);                    \
-  }
-  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
-#undef MPTOPK_X
-};
-
-class BitonicOperator final : public TopKOperator {
- public:
-  BitonicOperator() : TopKOperator("BitonicTopK", GpuCaps(&BitonicCost)) {}
-
- protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {                 \
-      return gpu::BitonicTopKDevice(dev, data, n, k2, gpu::BitonicOptions{}); \
-    });                                                                     \
-  }
-  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
-#undef MPTOPK_X
-};
-
-class HybridOperator final : public TopKOperator {
- public:
-  HybridOperator() : TopKOperator("HybridTopK", Caps()) {}
 
  private:
-  static OperatorCaps Caps() {
-    OperatorCaps c = GpuCaps(&HybridCost);
-    c.extension = true;
-    return c;
-  }
-
- protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {                 \
-      return gpu::HybridTopKDevice(dev, data, n, k2);                       \
-    });                                                                     \
-  }
-  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
-#undef MPTOPK_X
+  Run run_;
 };
+
+template <typename Run>
+std::unique_ptr<TopKOperator> MakeGpuOperator(std::string name,
+                                              std::string display_name,
+                                              OperatorCaps caps, Run run) {
+  return std::make_unique<GpuOperator<Run>>(
+      std::move(name), std::move(display_name), caps, run);
+}
 
 class ChunkedOperator final : public TopKOperator {
  public:
@@ -438,17 +372,53 @@ class CpuOperator final : public TopKOperator {
 // Display order mirrors the paper's presentation (and the bench column
 // order): the five core GPU algorithms, the hybrid extension, the
 // streaming executor, then the CPU baselines.
-OperatorRegistrar r_sort(std::make_unique<SortOperator>(), 10, {"sort"});
-OperatorRegistrar r_perthread(std::make_unique<PerThreadOperator>(), 20,
-                              {"perthread"});
-OperatorRegistrar r_radix(std::make_unique<RadixSelectOperator>(), 30,
-                          {"radix_select"});
-OperatorRegistrar r_bucket(std::make_unique<BucketSelectOperator>(), 40,
-                           {"bucket_select"});
-OperatorRegistrar r_bitonic(std::make_unique<BitonicOperator>(), 50,
-                            {"bitonic"});
-OperatorRegistrar r_hybrid(std::make_unique<HybridOperator>(), 60,
-                           {"hybrid"});
+OperatorRegistrar r_sort(
+    MakeGpuOperator("Sort", "Sort", GpuCaps(&SortCost),
+                    [](const simt::ExecCtx& dev, auto& data, size_t n,
+                       size_t k) {
+                      return gpu::SortTopKDevice(dev, data, n, k);
+                    }),
+    10, {"sort"});
+OperatorRegistrar r_perthread(
+    MakeGpuOperator("PerThreadTopK", "PerThread", GpuCaps(&PerThreadCost),
+                    [](const simt::ExecCtx& dev, auto& data, size_t n,
+                       size_t k) {
+                      return gpu::PerThreadTopKDevice(dev, data, n, k);
+                    }),
+    20, {"perthread"});
+OperatorRegistrar r_radix(
+    MakeGpuOperator("RadixSelect", "RadixSelect", GpuCaps(&RadixSelectCost),
+                    [](const simt::ExecCtx& dev, auto& data, size_t n,
+                       size_t k) {
+                      return gpu::RadixSelectTopKDevice(dev, data, n, k);
+                    }),
+    30, {"radix_select"});
+OperatorRegistrar r_bucket(
+    MakeGpuOperator("BucketSelect", "BucketSelect", GpuCaps(&BucketSelectCost),
+                    [](const simt::ExecCtx& dev, auto& data, size_t n,
+                       size_t k) {
+                      return gpu::BucketSelectTopKDevice(dev, data, n, k);
+                    }),
+    40, {"bucket_select"});
+OperatorRegistrar r_bitonic(
+    MakeGpuOperator("BitonicTopK", "BitonicTopK", GpuCaps(&BitonicCost),
+                    [](const simt::ExecCtx& dev, auto& data, size_t n,
+                       size_t k) {
+                      return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {
+                        return gpu::BitonicTopKDevice(dev, data, n, k2,
+                                                      gpu::BitonicOptions{});
+                      });
+                    }),
+    50, {"bitonic"});
+OperatorRegistrar r_hybrid(
+    MakeGpuOperator("HybridTopK", "HybridTopK", ExtensionCaps(&HybridCost),
+                    [](const simt::ExecCtx& dev, auto& data, size_t n,
+                       size_t k) {
+                      return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {
+                        return gpu::HybridTopKDevice(dev, data, n, k2);
+                      });
+                    }),
+    60, {"hybrid"});
 OperatorRegistrar r_chunked(std::make_unique<ChunkedOperator>(), 70,
                             {"chunked"});
 OperatorRegistrar r_cpu_stl(

@@ -151,6 +151,12 @@ class TopKOperator {
     return (caps_.elem_types & ElemTypeOf<E>::bit) != 0;
   }
 
+  /// True for GPU operators that take device-resident input (RunDevice);
+  /// CPU and streaming operators only take host input.
+  bool has_device_entry() const {
+    return caps_.backend == Backend::kGpuSim && !caps_.streams_host_input;
+  }
+
   /// Validates an (element type, n, k) request against the caps. Every
   /// violation is kInvalidArgument — never a wrong answer.
   Status CheckCaps(ElemType t, size_t n, size_t k) const;
@@ -184,7 +190,9 @@ class TopKOperator {
 
   /// Bottom-k (the k smallest, ascending): top-k over order-negated keys.
   /// On the device that is one extra counted negate pass; CPU operators
-  /// negate a host copy.
+  /// negate a host copy. BottomKDevice reports kUnimplemented, before any
+  /// allocation or launch, on operators without a device entry or without
+  /// supports_bottom_k.
   template <typename E>
   StatusOr<gpu::TopKResult<E>> BottomKDevice(const simt::ExecCtx& dev,
                                              simt::DeviceBuffer<E>& data,
@@ -326,8 +334,8 @@ template <typename E>
 StatusOr<gpu::TopKResult<E>> TopKOperator::BottomKDevice(
     const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_t n,
     size_t k) const {
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("require 1 <= k <= n");
+  if (!has_device_entry() || !caps_.supports_bottom_k) {
+    return Status::Unimplemented(name_ + " has no device-resident bottom-k");
   }
   MPTOPK_RETURN_NOT_OK(CheckCaps(ElemTypeOf<E>::value, n, k));
   MPTOPK_ASSIGN_OR_RETURN(auto negated, dev.Alloc<E>(n));

@@ -38,11 +38,6 @@ std::vector<const topk::TopKOperator*> BottomKOperators() {
   return out;
 }
 
-bool HasDeviceEntry(const topk::TopKOperator* op) {
-  return op->caps().backend == topk::Backend::kGpuSim &&
-         !op->caps().streams_host_input;
-}
-
 std::vector<KV> KeysWithIndexPayload(const std::vector<float>& keys) {
   std::vector<KV> data(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -64,7 +59,7 @@ std::vector<gpu::TopKResult<E>> RunBottomK(const topk::TopKOperator* op,
   auto r = op->BottomKHost(host_dev, data.data(), data.size(), k);
   EXPECT_TRUE(r.ok()) << op->name() << " host: " << r.status();
   if (r.ok()) out.push_back(std::move(r).value());
-  if (HasDeviceEntry(op)) {
+  if (op->has_device_entry()) {
     simt::Device dev;
     dev.set_trace_sample_target(trace_sample);
     auto buf = dev.Alloc<E>(data.size());
@@ -86,7 +81,7 @@ TEST_P(BottomKTest, FloatsAscending) {
   auto data = GenerateFloats(kN, Distribution::kUniform, 21);
   const auto expect = ReferenceBottom(data, 32);
   const auto runs = RunBottomK(op, data, 32);
-  EXPECT_EQ(runs.size(), HasDeviceEntry(op) ? 2u : 1u);
+  EXPECT_EQ(runs.size(), op->has_device_entry() ? 2u : 1u);
   for (const auto& r : runs) {
     ASSERT_EQ(r.items.size(), 32u);
     for (size_t i = 0; i < 32; ++i) {
@@ -159,6 +154,26 @@ TEST(BottomKRegistryTest, ChunkedTopKIsUnimplemented) {
   auto r = chunked->BottomKHost(dev, data.data(), data.size(), 16);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
+}
+
+// Operators without a device entry reject BottomKDevice before they touch
+// the device: no allocation, no negate launch.
+TEST(BottomKRegistryTest, DeviceBottomKRejectedBeforeAnyDeviceWork) {
+  constexpr size_t kSmallN = 4096;
+  auto data = GenerateFloats(kSmallN, Distribution::kUniform, 26);
+  simt::Device src;
+  auto buf = src.Alloc<float>(kSmallN).value();
+  ASSERT_TRUE(src.CopyToDevice(buf, data.data(), kSmallN).ok());
+  for (const char* name : {"ChunkedTopK", "cpu:HandPq"}) {
+    const topk::TopKOperator* op = topk::FindOperator(name).value();
+    ASSERT_FALSE(op->has_device_entry()) << name;
+    simt::Device dev;
+    auto r = op->BottomKDevice(dev, buf, kSmallN, 16);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented) << name;
+    EXPECT_TRUE(dev.kernel_log().empty()) << name;
+    EXPECT_EQ(dev.peak_allocated_bytes(), 0u) << name;
+  }
 }
 
 TEST(BottomKTest, NegationIsInvolution) {

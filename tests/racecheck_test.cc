@@ -240,6 +240,88 @@ TEST(RacecheckMutants, AtomicRunsConflictOnlyWithPlainAccesses) {
   }
 }
 
+// Pins the recorded hazard list of a 2-block kernel with shared and global
+// hazards in epochs 0 and 1: per block, every shared hazard (epoch order)
+// precedes every global one, and an 8-byte write overlapped by 4-byte reads
+// at +0 and +4 reports each overlapping 4-byte range. The list is the same
+// at 1 and 4 workers.
+TEST(RacecheckMutants, HazardOrderAndOverlapsArePinned) {
+  struct Want {
+    int block;
+    RaceHazard::Space space;
+    uint32_t epoch;
+    int a_tid;
+    bool a_write;
+    uint32_t a_size;
+    int b_tid;
+    bool b_write;
+    uint32_t b_size;
+    uint64_t addr;  // shared: arena offset; global: offset in `buf`
+    uint32_t bytes;
+  };
+  constexpr auto kShared = RaceHazard::Space::kShared;
+  constexpr auto kGlobal = RaceHazard::Space::kGlobal;
+  std::vector<Want> want;
+  for (int b = 0; b < 2; ++b) {
+    want.push_back({b, kShared, 0, 0, true, 8, 40, false, 4, 0, 4});
+    want.push_back({b, kShared, 0, 0, true, 8, 41, false, 4, 4, 4});
+    want.push_back({b, kShared, 1, 2, true, 4, 34, false, 4, 16, 4});
+    want.push_back({b, kGlobal, 0, 1, true, 4, 33, true, 4, 0, 4});
+    want.push_back({b, kGlobal, 1, 3, true, 4, 35, false, 4, 4, 4});
+  }
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    Device dev = RacecheckDevice();
+    dev.set_host_workers(workers);
+    auto buf = dev.Alloc<uint32_t>(2).value();
+    simt::GlobalSpan<uint32_t> g(buf);
+    auto st = dev.Launch({2, 64, 32, "pinned_order"}, [&](Block& blk) {
+      auto wide = blk.AllocShared<uint64_t>(4);
+      // A 4-byte view traced at the same shared offsets as `wide`, backed by
+      // its own host words so no host object is read through another type.
+      uint32_t word_storage[8] = {};
+      simt::SharedSpan<uint32_t> words(word_storage, wide.base_offset(), 8);
+      uint32_t* sink = blk.ThreadScratch<uint32_t>(1);
+      blk.ForEachThread([&](Thread& t) {
+        if (t.tid == 0) wide.Write(t, 0, 0);
+        if (t.tid == 40) sink[t.tid] = words.Read(t, 0);
+        if (t.tid == 41) sink[t.tid] = words.Read(t, 1);
+        if (t.tid == 1 || t.tid == 33) g.Write(t, 0, 1u);
+      });
+      blk.Sync();  // epoch 0 -> 1
+      blk.ForEachThread([&](Thread& t) {
+        if (t.tid == 2) words.Write(t, 4, 1u);
+        if (t.tid == 34) sink[t.tid] = words.Read(t, 4);
+        if (t.tid == 3) g.Write(t, 1, 1u);
+        if (t.tid == 35) sink[t.tid] = g.Read(t, 1);
+      });
+    });
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    const RaceReport& report = dev.race_report();
+    EXPECT_EQ(report.blocks_checked, 2u);
+    EXPECT_EQ(report.hazard_count, want.size()) << report.Summary();
+    ASSERT_EQ(report.hazards.size(), want.size()) << report.Summary();
+    for (size_t i = 0; i < want.size(); ++i) {
+      const Want& w = want[i];
+      const RaceHazard& h = report.hazards[i];
+      const uint64_t base = w.space == kShared ? 0 : buf.device_addr();
+      SCOPED_TRACE("hazard " + std::to_string(i) + ": " + h.ToString());
+      EXPECT_EQ(h.kernel, "pinned_order");
+      EXPECT_EQ(h.block_idx, w.block);
+      EXPECT_EQ(h.space, w.space);
+      EXPECT_EQ(h.epoch, w.epoch);
+      EXPECT_EQ(h.a.tid, w.a_tid);
+      EXPECT_EQ(h.a.write, w.a_write);
+      EXPECT_EQ(h.a.size, w.a_size);
+      EXPECT_EQ(h.b.tid, w.b_tid);
+      EXPECT_EQ(h.b.write, w.b_write);
+      EXPECT_EQ(h.b.size, w.b_size);
+      EXPECT_EQ(h.addr, base + w.addr);
+      EXPECT_EQ(h.bytes, w.bytes);
+    }
+  }
+}
+
 // With the checker off, the same mutant reports nothing (and no launch ever
 // pays for checking): opt-in means opt-in.
 TEST(RacecheckMutants, CheckerOffReportsNothing) {

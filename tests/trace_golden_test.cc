@@ -23,7 +23,7 @@ KernelMetrics Analyzed(BlockTracer& tracer) {
 // one warp instruction, 128 contiguous bytes = 4 perfectly-used sectors.
 TEST(TraceGolden, CoalescedGlobalLoad) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 32);
+  BlockTracer tracer(spec);
   for (int lane = 0; lane < 32; ++lane) {
     tracer.RecordGlobal(lane, /*seq=*/0, /*addr=*/4096 + 4 * lane, 4,
                         /*write=*/false);
@@ -41,7 +41,7 @@ TEST(TraceGolden, CoalescedGlobalLoad) {
 // inefficiency the paper's Figure 6 markers are priced from.
 TEST(TraceGolden, StridedGlobalLoadOneSectorPerLane) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 32);
+  BlockTracer tracer(spec);
   for (int lane = 0; lane < 32; ++lane) {
     tracer.RecordGlobal(lane, 0, 4096 + 32 * lane, 4, false);
   }
@@ -56,7 +56,7 @@ TEST(TraceGolden, StridedGlobalLoadOneSectorPerLane) {
 // sectors 0..4 of the 32-byte grid.
 TEST(TraceGolden, MisalignedGlobalLoadExtraSector) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 32);
+  BlockTracer tracer(spec);
   for (int lane = 0; lane < 32; ++lane) {
     tracer.RecordGlobal(lane, 0, 4096 + 16 + 4 * lane, 4, false);
   }
@@ -72,7 +72,7 @@ TEST(TraceGolden, MisalignedGlobalLoadExtraSector) {
 TEST(TraceGolden, DivergenceSlots) {
   DeviceSpec spec;
   {
-    BlockTracer tracer(spec, 32);
+    BlockTracer tracer(spec);
     for (int lane = 0; lane < 8; ++lane) {
       tracer.RecordGlobal(lane, 0, 4 * lane, 4, false);
     }
@@ -81,7 +81,7 @@ TEST(TraceGolden, DivergenceSlots) {
     EXPECT_EQ(m.divergent_lane_slots, 24u);
   }
   {
-    BlockTracer tracer(spec, 32);
+    BlockTracer tracer(spec);
     tracer.RecordGlobal(0, /*seq=*/0, 0, 4, false);
     tracer.RecordGlobal(1, /*seq=*/1, 4, 4, false);
     KernelMetrics m = Analyzed(tracer);
@@ -94,7 +94,7 @@ TEST(TraceGolden, DivergenceSlots) {
 // warp instructions, not one.
 TEST(TraceGolden, WarpsAreIndependent) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 64);
+  BlockTracer tracer(spec);
   tracer.RecordGlobal(0, 0, 0, 4, false);
   tracer.RecordGlobal(32, 0, 0, 4, false);
   KernelMetrics m = Analyzed(tracer);
@@ -106,7 +106,7 @@ TEST(TraceGolden, WarpsAreIndependent) {
 // a full 128-byte bandwidth slot.
 TEST(TraceGolden, SharedConflictFree) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 32);
+  BlockTracer tracer(spec);
   for (int lane = 0; lane < 32; ++lane) {
     tracer.RecordShared(lane, 0, 4 * lane, 4, false, false);
   }
@@ -121,7 +121,7 @@ TEST(TraceGolden, SharedConflictFree) {
 // classic 2-way conflict, one replay cycle.
 TEST(TraceGolden, SharedTwoWayBankConflict) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 32);
+  BlockTracer tracer(spec);
   for (int lane = 0; lane < 32; ++lane) {
     tracer.RecordShared(lane, 0, 4 * (2 * lane), 4, false, false);
   }
@@ -136,7 +136,7 @@ TEST(TraceGolden, SharedTwoWayBankConflict) {
 // words).
 TEST(TraceGolden, SharedBroadcastExemption) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 32);
+  BlockTracer tracer(spec);
   for (int lane = 0; lane < 32; ++lane) {
     tracer.RecordShared(lane, 0, /*addr=*/0, 4, false, false);
   }
@@ -150,7 +150,7 @@ TEST(TraceGolden, SharedBroadcastExemption) {
 // words -> two cycles (the hardware's two-phase 64-bit access).
 TEST(TraceGolden, SharedEightByteTwoPhase) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 32);
+  BlockTracer tracer(spec);
   for (int lane = 0; lane < 32; ++lane) {
     tracer.RecordShared(lane, 0, 8 * lane, 8, false, false);
   }
@@ -165,7 +165,7 @@ TEST(TraceGolden, SharedEightByteTwoPhase) {
 TEST(TraceGolden, SharedAtomics) {
   DeviceSpec spec;
   {
-    BlockTracer tracer(spec, 32);
+    BlockTracer tracer(spec);
     for (int lane = 0; lane < 32; ++lane) {
       tracer.RecordShared(lane, 0, 0, 4, true, /*atomic=*/true);
     }
@@ -175,7 +175,7 @@ TEST(TraceGolden, SharedAtomics) {
     EXPECT_EQ(m.shared_useful_bytes, 128u);
   }
   {
-    BlockTracer tracer(spec, 32);
+    BlockTracer tracer(spec);
     for (int lane = 0; lane < 32; ++lane) {
       // Word 32*lane: all in bank 0, all distinct -> 32 + 1 cycles.
       tracer.RecordShared(lane, 0, 4 * 32 * lane, 4, true, /*atomic=*/true);
@@ -185,14 +185,12 @@ TEST(TraceGolden, SharedAtomics) {
   }
 }
 
-// The barrier epoch is stamped on accesses but must never change the
-// metrics: the same pattern split across epochs analyzes identically.
+// Barrier epochs must never change the metrics: the same pattern split
+// across epochs analyzes identically.
 TEST(TraceGolden, EpochsDoNotAffectMetrics) {
   DeviceSpec spec;
-  // Both keep the per-thread access log so the stamped epochs stay
-  // inspectable after analysis.
-  BlockTracer flat(spec, 32, /*keep_log=*/true);
-  BlockTracer epoched(spec, 32, /*keep_log=*/true);
+  BlockTracer flat(spec);
+  BlockTracer epoched(spec);
   for (int lane = 0; lane < 32; ++lane) {
     flat.RecordShared(lane, 0, 4 * lane, 4, true, false);
     flat.RecordShared(lane, 1, 4 * lane, 4, false, false);
@@ -210,25 +208,19 @@ TEST(TraceGolden, EpochsDoNotAffectMetrics) {
   EXPECT_EQ(a.shared_bytes, b.shared_bytes);
   EXPECT_EQ(a.warp_instructions, b.warp_instructions);
   EXPECT_EQ(a.bank_conflict_cycles, b.bank_conflict_cycles);
-
-  // ... while the recorded epochs differ as stamped.
-  EXPECT_EQ(epoched.shared_accesses()[0][0].epoch, 0u);
-  EXPECT_EQ(epoched.shared_accesses()[0][1].epoch, 1u);
-  EXPECT_EQ(flat.shared_accesses()[0][1].epoch, 0u);
 }
 
-// Reset clears accesses and rewinds the epoch counter for block reuse.
+// Reset drops pending accesses and rewinds the epoch counter for block
+// reuse.
 TEST(TraceGolden, ResetClearsEpoch) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 32, /*keep_log=*/true);
+  BlockTracer tracer(spec);
   tracer.RecordShared(0, 0, 0, 4, true, false);
   tracer.AdvanceEpoch();
   EXPECT_EQ(tracer.epoch(), 1u);
-  tracer.Reset(32);
+  tracer.Reset();
   EXPECT_EQ(tracer.epoch(), 0u);
-  EXPECT_TRUE(tracer.shared_accesses()[0].empty());
-  tracer.RecordShared(0, 0, 0, 4, true, false);
-  EXPECT_EQ(tracer.shared_accesses()[0][0].epoch, 0u);
+  EXPECT_EQ(Analyzed(tracer).warp_instructions, 0u);
 }
 
 }  // namespace

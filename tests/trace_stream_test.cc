@@ -5,9 +5,9 @@
 //  * An oracle: a test-local copy of the whole-block analyzer the tracer
 //    replaced (k-way merge by seq over each warp's per-thread access log,
 //    division-based sector/bank math). Seeded random region programs run
-//    through simt::Block with the access log retained; the oracle analyzes
-//    the log, the tracer analyzes as the warps stream, and every
-//    KernelMetrics field must match.
+//    through simt::Block while the test logs every access it issues; the
+//    oracle analyzes that log, the tracer analyzes as the warps stream, and
+//    every KernelMetrics field must match.
 //  * Pinned per-kernel metric fingerprints for the six GPU operators and the
 //    engine queries Q1-Q4, captured from the whole-block analyzer.
 #include <gtest/gtest.h>
@@ -39,12 +39,43 @@ using simt::BlockTracer;
 using simt::DeviceSpec;
 using simt::KernelMetrics;
 using simt::Thread;
-using Log = std::vector<std::vector<BlockTracer::Access>>;
+
+// One access as the test issued it, for the oracle.
+struct Access {
+  uint64_t addr;
+  uint32_t seq;
+  uint32_t size;
+  bool atomic;
+};
+// Accesses indexed by tid, in issue (strictly increasing seq) order.
+using Log = std::vector<std::vector<Access>>;
+
+// The whole-block access log the test keeps next to the tracer: every
+// Record* call goes through it.
+struct LoggedTracer {
+  LoggedTracer(const DeviceSpec& spec, int block_dim)
+      : tracer(spec), global(block_dim), shared(block_dim) {}
+
+  void RecordGlobal(int tid, uint32_t seq, uint64_t addr, uint32_t size,
+                    bool write, bool atomic = false) {
+    tracer.RecordGlobal(tid, seq, addr, size, write, atomic);
+    global[tid].push_back(Access{addr, seq, size, atomic});
+  }
+  void RecordShared(int tid, uint32_t seq, uint64_t addr, uint32_t size,
+                    bool write, bool atomic) {
+    tracer.RecordShared(tid, seq, addr, size, write, atomic);
+    shared[tid].push_back(Access{addr, seq, size, atomic});
+  }
+
+  BlockTracer tracer;
+  Log global;
+  Log shared;
+};
 
 // --- Oracle: the whole-block analyzer --------------------------------------
 
 void OracleGlobalWarp(const DeviceSpec& spec,
-                      const std::vector<BlockTracer::Access>* lanes,
+                      const std::vector<Access>* lanes,
                       int num_lanes, KernelMetrics* m) {
   std::vector<size_t> pos(num_lanes, 0);
   const uint64_t sector = spec.sector_bytes;
@@ -63,7 +94,7 @@ void OracleGlobalWarp(const DeviceSpec& spec,
       if (pos[l] >= lanes[l].size() || lanes[l][pos[l]].seq != min_seq) {
         continue;
       }
-      const BlockTracer::Access& a = lanes[l][pos[l]++];
+      const Access& a = lanes[l][pos[l]++];
       ++participants;
       useful += a.size;
       for (uint64_t s = a.addr / sector; s <= (a.addr + a.size - 1) / sector;
@@ -83,7 +114,7 @@ void OracleGlobalWarp(const DeviceSpec& spec,
 }
 
 void OracleSharedWarp(const DeviceSpec& spec,
-                      const std::vector<BlockTracer::Access>* lanes,
+                      const std::vector<Access>* lanes,
                       int num_lanes, KernelMetrics* m) {
   const int banks = spec.shared_mem_banks;
   const uint64_t word = spec.bank_width_bytes;
@@ -104,7 +135,7 @@ void OracleSharedWarp(const DeviceSpec& spec,
       if (pos[l] >= lanes[l].size() || lanes[l][pos[l]].seq != min_seq) {
         continue;
       }
-      const BlockTracer::Access& a = lanes[l][pos[l]++];
+      const Access& a = lanes[l][pos[l]++];
       ++participants;
       useful += a.size;
       any_atomic |= a.atomic;
@@ -251,12 +282,14 @@ uint64_t LaneAddr(const Instr& in, int tid, uint64_t salt) {
   return in.base;
 }
 
-// Runs the program on one block traced by `tracer`, issuing each access
+// Runs the program on one block traced by `logged`, issuing each access
 // exactly as the traced spans do (per-thread sequence counters on Thread).
-void RunProgram(const DeviceSpec& spec, const Program& p, BlockTracer* tracer) {
+// A non-null `race` arms race checking on the tracer.
+void RunProgram(const DeviceSpec& spec, const Program& p, LoggedTracer* logged,
+                simt::BlockRaceCheck* race = nullptr) {
   Block block(spec, /*grid_dim=*/1, p.block_dim);
-  tracer->Reset(p.block_dim);
-  block.ResetFor(0, tracer);
+  logged->tracer.Reset(race);
+  block.ResetFor(0, &logged->tracer);
   for (size_t r = 0; r < p.regions.size(); ++r) {
     const Region& reg = p.regions[r];
     if (reg.sync_before) block.Sync();
@@ -267,11 +300,11 @@ void RunProgram(const DeviceSpec& spec, const Program& p, BlockTracer* tracer) {
         if (in.divergent && (Mix(salt + t.tid) & 1) != 0) continue;
         const uint64_t addr = LaneAddr(in, t.tid, salt);
         if (in.shared) {
-          t.tracer->RecordShared(t.tid, t.shared_seq++, addr, in.size,
-                                 in.write, in.atomic);
+          logged->RecordShared(t.tid, t.shared_seq++, addr, in.size, in.write,
+                               in.atomic);
         } else {
-          t.tracer->RecordGlobal(t.tid, t.global_seq++, addr, in.size,
-                                 in.write, in.atomic);
+          logged->RecordGlobal(t.tid, t.global_seq++, addr, in.size, in.write,
+                               in.atomic);
         }
       }
     };
@@ -289,23 +322,23 @@ TEST(TraceStream, RandomRegionProgramsMatchWholeBlockOracle) {
     const Program p = RandomProgram(seed);
     const std::string label = "seed=" + std::to_string(seed) +
                               " block_dim=" + std::to_string(p.block_dim);
-    BlockTracer logged(spec, p.block_dim, /*keep_log=*/true);
+    LoggedTracer logged(spec, p.block_dim);
     RunProgram(spec, p, &logged);
     const KernelMetrics want =
-        OracleAnalyze(spec, p.block_dim, logged.global_accesses(),
-                      logged.shared_accesses());
+        OracleAnalyze(spec, p.block_dim, logged.global, logged.shared);
     KernelMetrics got;
-    logged.Analyze(&got);
+    logged.tracer.Analyze(&got);
     ExpectMetricsEq(want, got, label);
 
-    // The retained log is for the race checker only: a tracer without it
-    // bills the same.
-    BlockTracer streaming(spec, p.block_dim);
-    RunProgram(spec, p, &streaming);
-    KernelMetrics lean;
-    streaming.Analyze(&lean);
-    ExpectMetricsEq(want, lean, label + " (no log)");
-    EXPECT_TRUE(streaming.shared_accesses()[0].empty()) << label;
+    // Race checking only reads the accesses: an armed tracer bills the same.
+    LoggedTracer armed(spec, p.block_dim);
+    simt::BlockRaceCheck race;
+    race.Begin(&label, 0, spec.warp_size);
+    RunProgram(spec, p, &armed, &race);
+    KernelMetrics checked;
+    armed.tracer.Analyze(&checked);
+    EXPECT_EQ(race.Finish(armed.tracer.epoch()).blocks_checked, 1u) << label;
+    ExpectMetricsEq(want, checked, label + " (racecheck armed)");
     if (HasFailure()) break;
   }
 }
@@ -317,7 +350,7 @@ TEST(TraceStream, DirectRecordsInterleavedAcrossWarps) {
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     std::mt19937_64 rng(seed);
     const int block_dim = 1 + static_cast<int>(rng() % 130);
-    BlockTracer tracer(spec, block_dim, /*keep_log=*/true);
+    LoggedTracer logged(spec, block_dim);
     std::vector<uint32_t> gseq(block_dim, 0), sseq(block_dim, 0);
     const int records = static_cast<int>(rng() % 600);
     for (int i = 0; i < records; ++i) {
@@ -329,16 +362,16 @@ TEST(TraceStream, DirectRecordsInterleavedAcrossWarps) {
       const uint64_t addr = (shared ? 0 : 4096) + rng() % 512;
       const uint32_t size = 1u << (rng() % 5);
       if (shared) {
-        tracer.RecordShared(tid, seq++, addr, size, rng() % 2 == 0,
+        logged.RecordShared(tid, seq++, addr, size, rng() % 2 == 0,
                             rng() % 4 == 0);
       } else {
-        tracer.RecordGlobal(tid, seq++, addr, size, rng() % 2 == 0);
+        logged.RecordGlobal(tid, seq++, addr, size, rng() % 2 == 0);
       }
     }
-    const KernelMetrics want = OracleAnalyze(
-        spec, block_dim, tracer.global_accesses(), tracer.shared_accesses());
+    const KernelMetrics want =
+        OracleAnalyze(spec, block_dim, logged.global, logged.shared);
     KernelMetrics got;
-    tracer.Analyze(&got);
+    logged.tracer.Analyze(&got);
     ExpectMetricsEq(want, got, "seed=" + std::to_string(seed));
     if (HasFailure()) break;
   }
@@ -348,16 +381,16 @@ TEST(TraceStream, DirectRecordsInterleavedAcrossWarps) {
 // cap) still bill exactly.
 TEST(TraceStream, WideAccessesMatchOracle) {
   const DeviceSpec spec;
-  BlockTracer tracer(spec, 32, /*keep_log=*/true);
+  LoggedTracer logged(spec, 32);
   for (int lane = 0; lane < 32; ++lane) {
-    tracer.RecordGlobal(lane, 0, 4096 + 1000 * lane, 200, false);
-    tracer.RecordShared(lane, 0, 4 * 33 * lane + 2, 256, true, false);
-    tracer.RecordShared(lane, 1, 4 * 64 * lane, 64, true, true);
+    logged.RecordGlobal(lane, 0, 4096 + 1000 * lane, 200, false);
+    logged.RecordShared(lane, 0, 4 * 33 * lane + 2, 256, true, false);
+    logged.RecordShared(lane, 1, 4 * 64 * lane, 64, true, true);
   }
-  const KernelMetrics want = OracleAnalyze(spec, 32, tracer.global_accesses(),
-                                           tracer.shared_accesses());
+  const KernelMetrics want =
+      OracleAnalyze(spec, 32, logged.global, logged.shared);
   KernelMetrics got;
-  tracer.Analyze(&got);
+  logged.tracer.Analyze(&got);
   ExpectMetricsEq(want, got, "wide");
   EXPECT_EQ(got.global_transactions, 64u);  // the per-instruction cap
 }
