@@ -11,12 +11,21 @@
 namespace mptopk::bench {
 namespace {
 
+// Stages `data` on `dev` and runs bitonic top-k with `opts`.
+StatusOr<gpu::TopKResult<float>> StagedBitonic(
+    simt::Device& dev, const std::vector<float>& data, size_t k,
+    const gpu::BitonicOptions& opts) {
+  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<float>(data.size()));
+  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data.data(), data.size()));
+  return gpu::BitonicTopKDevice(dev, buf, data.size(), k, opts);
+}
+
 double RunBitonic(const std::vector<float>& data, size_t k,
                   const gpu::BitonicOptions& opts, int ts,
                   simt::KernelMetrics* metrics_out) {
   simt::Device dev;
   dev.set_trace_sample_target(ts);
-  auto r = gpu::BitonicTopK(dev, data.data(), data.size(), k, opts);
+  auto r = StagedBitonic(dev, data, k, opts);
   if (!r.ok()) return kNaN;
   if (metrics_out != nullptr) *metrics_out = dev.total_metrics();
   return r->kernel_ms;
@@ -81,7 +90,7 @@ int Main(int argc, char** argv) {
   for (const Level& lvl : levels) {
     simt::Device dev;
     dev.set_trace_sample_target(ts);
-    auto r = gpu::BitonicTopK(dev, data.data(), n, k, lvl.opts);
+    auto r = StagedBitonic(dev, data, k, lvl.opts);
     if (!r.ok()) {
       std::fprintf(stderr, "%s: %s\n", lvl.name,
                    r.status().ToString().c_str());

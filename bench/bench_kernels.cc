@@ -17,7 +17,6 @@
 #include "common/distributions.h"
 #include "cputopk/cpu_topk.h"
 #include "gputopk/bitonic_plan.h"
-#include "gputopk/bitonic_topk.h"
 #include "topk/registry.h"
 
 namespace mptopk {
@@ -26,10 +25,11 @@ namespace {
 void BM_SimBitonicTopK(benchmark::State& state) {
   const size_t n = 1 << 16;
   auto data = GenerateFloats(n, Distribution::kUniform);
+  const topk::TopKOperator* bitonic = topk::FindOperator("BitonicTopK").value();
   for (auto _ : state) {
     simt::Device dev;
     dev.set_trace_sample_target(8);
-    auto r = gpu::BitonicTopK(dev, data.data(), n, state.range(0));
+    auto r = bitonic->TopKHost(dev, data.data(), n, state.range(0));
     benchmark::DoNotOptimize(r->kernel_ms);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -39,10 +39,11 @@ BENCHMARK(BM_SimBitonicTopK)->Arg(32)->Arg(256)->Unit(benchmark::kMillisecond);
 void BM_SimTracedVsUntraced(benchmark::State& state) {
   const size_t n = 1 << 16;
   auto data = GenerateFloats(n, Distribution::kUniform);
+  const topk::TopKOperator* bitonic = topk::FindOperator("BitonicTopK").value();
   for (auto _ : state) {
     simt::Device dev;
     dev.set_trace_sample_target(static_cast<int>(state.range(0)));
-    auto r = gpu::BitonicTopK(dev, data.data(), n, 32);
+    auto r = bitonic->TopKHost(dev, data.data(), n, 32);
     benchmark::DoNotOptimize(r->kernel_ms);
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -159,4 +159,20 @@ constexpr KeyBits<E> OrderedKeyBits(const E& e) {
 
 }  // namespace mptopk
 
+// Every element type the library runs top-k over. X(type, enumerator, name).
+// The GPU algorithms are instantiated and the operator registry's per-type
+// hooks generated from this list, so a type added here is immediately
+// addressable by every operator.
+#define MPTOPK_TOPK_ELEMENT_TYPES(X) \
+  X(float, kF32, "f32")              \
+  X(double, kF64, "f64")             \
+  X(uint32_t, kU32, "u32")           \
+  X(int32_t, kI32, "i32")            \
+  X(uint64_t, kU64, "u64")           \
+  X(int64_t, kI64, "i64")            \
+  X(::mptopk::KV, kKV, "kv")         \
+  X(::mptopk::KV64, kKV64, "kv64")   \
+  X(::mptopk::KKV, kKKV, "kkv")      \
+  X(::mptopk::KKKV, kKKKV, "kkkv")
+
 #endif  // MPTOPK_COMMON_TUPLE_TYPES_H_

@@ -316,9 +316,7 @@ Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
           matched_total += total;
           if (fill > flush_level) flush();
         }
-        if (fill > 0 || range_lo >= range_hi) {
-          if (fill > 0) flush();
-        }
+        if (fill > 0) flush();
         blk.ForEachThread([&](Thread& t) {
           if (t.tid == 0 && matched_total > 0) {
             counters.ReduceAdd(t, 1, matched_total);
@@ -494,53 +492,37 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
   size_t matched = 0;
   std::string resilience_summary;
 
-  if (strategy == TopKStrategy::kCombinedBitonic) {
+  {
+    // Filter into `cand` -- bitonic runs of length k2 (combined strategy)
+    // or the projected (rank, row) pairs -- then reduce it to the top-k.
+    // `cand` dies at the end of this scope, before the id assembly.
+    const bool combined = strategy == TopKStrategy::kCombinedBitonic;
     const size_t k2 = NextPowerOfTwo(k);
-    MPTOPK_ASSIGN_OR_RETURN(
-        auto g, gpu::bitonic::ResolveGeometry<KV>(dev.spec(),
-                                                  k2, gpu::BitonicOptions{}));
-    const size_t opb = g.tile >> g.merges;
-    const int grid = static_cast<int>(
-        std::min<uint64_t>(kMaxGrid, CeilDiv(n, g.tile)));
-    const size_t per_block = RoundUp(CeilDiv(n, grid), g.tile);
-    const size_t max_flushes_per_block =
-        CeilDiv(per_block, g.tile - g.nt) + 2;
-    MPTOPK_ASSIGN_OR_RETURN(
-        auto cand, dev.Alloc<KV>(grid * max_flushes_per_block * opb));
-    GlobalSpan<KV> cand_span(cand);
-    MPTOPK_RETURN_NOT_OK(
-        LaunchFusedFilterTopK(dev, q, n, k2, g, cand_span, cnts));
-    uint32_t counter_vals[2];
-    MPTOPK_RETURN_NOT_OK(dev.CopyToHost(counter_vals, counters, 2));
-    matched = counter_vals[1];
-    size_t emitted = counter_vals[0];
-    if (matched == 0) {
-      QueryResult empty;
-      empty.kernel_ms = tracker.ElapsedMs();
-      empty.end_to_end_ms = empty.kernel_ms + (dev.pcie_ms() - pcie_start);
-      empty.kernels_launched = tracker.Launches();
-      return empty;
-    }
-    auto reduced = gpu::BitonicReduceRuns(dev, cand, emitted, k2);
-    if (reduced.ok()) {
-      top = std::move(reduced).value();
-    } else if (exec.resilient) {
-      // Recovery path: the candidate runs are a superset of the global
-      // top-k, so a resilient top-k over them yields the same answer.
-      const size_t k_r = std::min(std::min(k, matched), emitted);
+    DeviceBuffer<KV> cand;
+    if (combined) {
       MPTOPK_ASSIGN_OR_RETURN(
-          top, TopKStep(dev, cand, emitted, k_r, exec, "BitonicTopK",
-                        &resilience_summary));
+          auto g, gpu::bitonic::ResolveGeometry<KV>(dev.spec(), k2,
+                                                    gpu::BitonicOptions{}));
+      const size_t opb = g.tile >> g.merges;
+      const int grid = static_cast<int>(
+          std::min<uint64_t>(kMaxGrid, CeilDiv(n, g.tile)));
+      const size_t per_block = RoundUp(CeilDiv(n, grid), g.tile);
+      const size_t max_flushes_per_block =
+          CeilDiv(per_block, g.tile - g.nt) + 2;
+      MPTOPK_ASSIGN_OR_RETURN(
+          cand, dev.Alloc<KV>(grid * max_flushes_per_block * opb));
+      MPTOPK_RETURN_NOT_OK(LaunchFusedFilterTopK(dev, q, n, k2, g,
+                                                 GlobalSpan<KV>(cand), cnts));
     } else {
-      return reduced.status();
+      MPTOPK_ASSIGN_OR_RETURN(cand, dev.Alloc<KV>(std::max<size_t>(n, 1)));
+      MPTOPK_RETURN_NOT_OK(
+          LaunchFilterProject(dev, q, n, GlobalSpan<KV>(cand), cnts));
     }
-  } else {
-    MPTOPK_ASSIGN_OR_RETURN(auto kv_buf, dev.Alloc<KV>(std::max<size_t>(n, 1)));
-    GlobalSpan<KV> kv_span(kv_buf);
-    MPTOPK_RETURN_NOT_OK(LaunchFilterProject(dev, q, n, kv_span, cnts));
+    // Combined: [0] = run elements emitted, [1] = matched rows. Projected:
+    // [0] = matched rows.
     uint32_t counter_vals[2];
     MPTOPK_RETURN_NOT_OK(dev.CopyToHost(counter_vals, counters, 2));
-    matched = counter_vals[0];
+    matched = counter_vals[combined ? 1 : 0];
     if (matched == 0) {
       QueryResult empty;
       empty.kernel_ms = tracker.ElapsedMs();
@@ -548,12 +530,28 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
       empty.kernels_launched = tracker.Launches();
       return empty;
     }
-    const size_t k_eff = std::min(k, matched);
-    MPTOPK_ASSIGN_OR_RETURN(
-        top, TopKStep(dev, kv_buf, matched, k_eff, exec,
-                      strategy == TopKStrategy::kFilterSort ? "Sort"
-                                                            : "BitonicTopK",
-                      &resilience_summary));
+    if (combined) {
+      const size_t emitted = counter_vals[0];
+      auto reduced = gpu::BitonicReduceRuns(dev, cand, emitted, k2);
+      if (reduced.ok()) {
+        top = std::move(reduced).value();
+      } else if (exec.resilient) {
+        // Recovery path: the candidate runs are a superset of the global
+        // top-k, so a resilient top-k over them yields the same answer.
+        const size_t k_r = std::min(std::min(k, matched), emitted);
+        MPTOPK_ASSIGN_OR_RETURN(
+            top, TopKStep(dev, cand, emitted, k_r, exec, "BitonicTopK",
+                          &resilience_summary));
+      } else {
+        return reduced.status();
+      }
+    } else {
+      MPTOPK_ASSIGN_OR_RETURN(
+          top, TopKStep(dev, cand, matched, std::min(k, matched), exec,
+                        strategy == TopKStrategy::kFilterSort ? "Sort"
+                                                              : "BitonicTopK",
+                        &resilience_summary));
+    }
   }
 
   // Trim sentinels (combined path may round k up / pad short matches).

@@ -222,13 +222,10 @@ Status RunFused(const simt::ExecCtx& dev, DeviceBuffer<E>& data, size_t n, size_
 }  // namespace
 
 template <typename E>
-StatusOr<TopKResult<E>> BitonicTopKDevice(const simt::ExecCtx& dev,
+StatusOr<DeviceBuffer<E>> BitonicTopKBody(const simt::ExecCtx& dev,
                                           DeviceBuffer<E>& data, size_t n,
                                           size_t k,
                                           const BitonicOptions& opts) {
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("require 1 <= k <= n");
-  }
   if (!IsPowerOfTwo(k)) {
     return Status::InvalidArgument(
         "bitonic top-k requires k to be a power of two (the registry's "
@@ -239,21 +236,23 @@ StatusOr<TopKResult<E>> BitonicTopKDevice(const simt::ExecCtx& dev,
   }
   MPTOPK_ASSIGN_OR_RETURN(Geometry<E> g,
                           ResolveGeometry<E>(dev.spec(), k, opts));
-
-  DeviceTimeTracker tracker(dev);
   MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
   if (opts.fuse_kernels) {
     MPTOPK_RETURN_NOT_OK(RunFused(dev, data, n, k, g, &out_k));
   } else {
     MPTOPK_RETURN_NOT_OK(RunUnfused(dev, data, n, k, opts, g, &out_k));
   }
+  return out_k;
+}
 
-  TopKResult<E> result;
-  result.items.resize(k);
-  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
-  result.kernel_ms = tracker.ElapsedMs();
-  result.kernels_launched = tracker.Launches();
-  return result;
+template <typename E>
+StatusOr<TopKResult<E>> BitonicTopKDevice(const simt::ExecCtx& dev,
+                                          DeviceBuffer<E>& data, size_t n,
+                                          size_t k,
+                                          const BitonicOptions& opts) {
+  return RunTopK<E>(dev, n, k, [&] {
+    return BitonicTopKBody(dev, data, n, k, opts);
+  });
 }
 
 template <typename E>
@@ -261,77 +260,54 @@ StatusOr<TopKResult<E>> BitonicReduceRuns(const simt::ExecCtx& dev,
                                           DeviceBuffer<E>& runs, size_t m,
                                           size_t k,
                                           const BitonicOptions& opts) {
-  if (k == 0 || m < k || m % k != 0) {
-    return Status::InvalidArgument(
-        "BitonicReduceRuns requires m to be a positive multiple of k");
-  }
-  if (!IsPowerOfTwo(k)) {
-    return Status::InvalidArgument("k must be a power of two");
-  }
-  MPTOPK_ASSIGN_OR_RETURN(Geometry<E> g,
-                          ResolveGeometry<E>(dev.spec(), k, opts));
-  DeviceTimeTracker tracker(dev);
-  MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
-  GlobalSpan<E> out(out_k);
-  GlobalSpan<E> a(runs);
-  const size_t opb = g.tile >> g.merges;
-  DeviceBuffer<E> aux_a, aux_b;
-  bool aux_ready = false;
-  bool write_to_a = true;  // ping-pong parity
-  size_t cur = m;
-  while (cur > g.tile) {
-    size_t next = CeilDiv(cur, g.tile) * opb;
-    if (!aux_ready) {
-      MPTOPK_ASSIGN_OR_RETURN(aux_a, dev.Alloc<E>(next));
-      MPTOPK_ASSIGN_OR_RETURN(aux_b, dev.Alloc<E>(next));
-      aux_ready = true;
+  return RunTopK<E>(dev, m, k, [&]() -> StatusOr<DeviceBuffer<E>> {
+    if (m % k != 0) {
+      return Status::InvalidArgument(
+          "BitonicReduceRuns requires m to be a multiple of k");
     }
-    GlobalSpan<E> dst =
-        write_to_a ? GlobalSpan<E>(aux_a) : GlobalSpan<E>(aux_b);
-    MPTOPK_RETURN_NOT_OK(LaunchBitonicReducer(dev, a, cur, dst, k, g));
-    a = dst;
-    write_to_a = !write_to_a;
-    cur = next;
-  }
-  MPTOPK_RETURN_NOT_OK(
-      LaunchFinalReduce(dev, a, cur, out, k, /*unsorted=*/false, g));
-  TopKResult<E> result;
-  result.items.resize(k);
-  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
-  result.kernel_ms = tracker.ElapsedMs();
-  result.kernels_launched = tracker.Launches();
-  return result;
+    if (!IsPowerOfTwo(k)) {
+      return Status::InvalidArgument("k must be a power of two");
+    }
+    MPTOPK_ASSIGN_OR_RETURN(Geometry<E> g,
+                            ResolveGeometry<E>(dev.spec(), k, opts));
+    MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
+    GlobalSpan<E> a(runs);
+    const size_t opb = g.tile >> g.merges;
+    DeviceBuffer<E> aux_a, aux_b;
+    bool aux_ready = false;
+    bool write_to_a = true;  // ping-pong parity
+    size_t cur = m;
+    while (cur > g.tile) {
+      size_t next = CeilDiv(cur, g.tile) * opb;
+      if (!aux_ready) {
+        MPTOPK_ASSIGN_OR_RETURN(aux_a, dev.Alloc<E>(next));
+        MPTOPK_ASSIGN_OR_RETURN(aux_b, dev.Alloc<E>(next));
+        aux_ready = true;
+      }
+      GlobalSpan<E> dst =
+          write_to_a ? GlobalSpan<E>(aux_a) : GlobalSpan<E>(aux_b);
+      MPTOPK_RETURN_NOT_OK(LaunchBitonicReducer(dev, a, cur, dst, k, g));
+      a = dst;
+      write_to_a = !write_to_a;
+      cur = next;
+    }
+    MPTOPK_RETURN_NOT_OK(LaunchFinalReduce(dev, a, cur, GlobalSpan<E>(out_k),
+                                           k, /*unsorted=*/false, g));
+    return out_k;
+  });
 }
 
-template <typename E>
-StatusOr<TopKResult<E>> BitonicTopK(const simt::ExecCtx& dev, const E* data, size_t n,
-                                    size_t k, const BitonicOptions& opts) {
-  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
-  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
-  return BitonicTopKDevice(dev, buf, n, k, opts);
-}
-
-#define MPTOPK_INSTANTIATE_BITONIC(E)                                        \
-  template StatusOr<TopKResult<E>> BitonicTopKDevice<E>(                     \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                       \
+#define MPTOPK_X(E, EN, NAME)                                                \
+  template StatusOr<DeviceBuffer<E>> BitonicTopKBody<E>(                     \
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                \
       const BitonicOptions&);                                                \
-  template StatusOr<TopKResult<E>> BitonicTopK<E>(                           \
-      const simt::ExecCtx&, const E*, size_t, size_t, const BitonicOptions&);       \
+  template StatusOr<TopKResult<E>> BitonicTopKDevice<E>(                     \
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                \
+      const BitonicOptions&);                                                \
   template StatusOr<TopKResult<E>> BitonicReduceRuns<E>(                     \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                       \
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                \
       const BitonicOptions&);
-
-MPTOPK_INSTANTIATE_BITONIC(float)
-MPTOPK_INSTANTIATE_BITONIC(double)
-MPTOPK_INSTANTIATE_BITONIC(uint32_t)
-MPTOPK_INSTANTIATE_BITONIC(int32_t)
-MPTOPK_INSTANTIATE_BITONIC(uint64_t)
-MPTOPK_INSTANTIATE_BITONIC(int64_t)
-MPTOPK_INSTANTIATE_BITONIC(KV)
-MPTOPK_INSTANTIATE_BITONIC(KV64)
-MPTOPK_INSTANTIATE_BITONIC(KKV)
-MPTOPK_INSTANTIATE_BITONIC(KKKV)
-
-#undef MPTOPK_INSTANTIATE_BITONIC
+MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
+#undef MPTOPK_X
 
 }  // namespace mptopk::gpu

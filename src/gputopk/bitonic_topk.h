@@ -67,14 +67,22 @@ struct BitonicOptions {
 /// device-resident `data[0, n)`. Requirements: 1 <= k <= n, k a power of
 /// two, and k small enough that two runs fit a tile (k <= 1024 for all
 /// supported element types at default settings).
-///
-/// Instantiated for: float, double, uint32_t, int32_t, uint64_t, int64_t,
-/// KV, KV64, KKV, KKKV.
 template <typename E>
 StatusOr<TopKResult<E>> BitonicTopKDevice(const simt::ExecCtx& dev,
                                           simt::DeviceBuffer<E>& data,
                                           size_t n, size_t k,
                                           const BitonicOptions& opts = {});
+
+/// BitonicTopKDevice without its RunTopK frame (kernel_util.h): checks the
+/// bitonic limits, launches the kernels and returns the device buffer
+/// holding the k results descending. The caller's frame has checked
+/// 1 <= k <= n. For algorithms that finish with a bitonic pass inside their
+/// own frame (hybrid top-k), so each call reads back once.
+template <typename E>
+StatusOr<simt::DeviceBuffer<E>> BitonicTopKBody(const simt::ExecCtx& dev,
+                                                simt::DeviceBuffer<E>& data,
+                                                size_t n, size_t k,
+                                                const BitonicOptions& opts = {});
 
 /// Reduces a buffer that already consists of bitonic runs of length k (the
 /// output contract of a SortReducer-style kernel, e.g. the query engine's
@@ -85,13 +93,6 @@ StatusOr<TopKResult<E>> BitonicReduceRuns(const simt::ExecCtx& dev,
                                           simt::DeviceBuffer<E>& runs,
                                           size_t m, size_t k,
                                           const BitonicOptions& opts = {});
-
-/// Convenience wrapper: stages `data` host->device (PCIe-accounted), runs
-/// BitonicTopKDevice, reads back the k results.
-template <typename E>
-StatusOr<TopKResult<E>> BitonicTopK(const simt::ExecCtx& dev, const E* data,
-                                    size_t n, size_t k,
-                                    const BitonicOptions& opts = {});
 
 }  // namespace mptopk::gpu
 

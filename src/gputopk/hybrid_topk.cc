@@ -156,83 +156,62 @@ template <typename E>
 StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
                                          DeviceBuffer<E>& data, size_t n,
                                          size_t k) {
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("require 1 <= k <= n");
-  }
-  if (!IsPowerOfTwo(k)) {
-    return Status::InvalidArgument("hybrid top-k requires power-of-two k");
-  }
-  DeviceTimeTracker tracker(dev);
-  GlobalSpan<E> in(data);
+  return RunTopK<E>(dev, n, k, [&]() -> StatusOr<DeviceBuffer<E>> {
+    if (!IsPowerOfTwo(k)) {
+      return Status::InvalidArgument("hybrid top-k requires power-of-two k");
+    }
+    GlobalSpan<E> in(data);
 
-  auto finish = [&](TopKResult<E> r) {
-    r.kernel_ms = tracker.ElapsedMs();
-    r.kernels_launched = tracker.Launches();
-    return r;
-  };
+    const size_t s = std::min(n, kSampleSize);
+    // The pivot rank in the sample: expected candidates = m * n/s; aim for a
+    // few k of headroom so unlucky samples still cover the top-k.
+    const size_t m = std::min(
+        s / 2, std::max<size_t>(32, CeilDiv(4 * k * s, std::max(n, s))));
+    if (n <= 4 * s || m >= s / 2) {
+      // Too small (or k too large relative to n) for sampling to pay off.
+      return BitonicTopKBody(dev, data, n, k);
+    }
 
-  const size_t s = std::min(n, kSampleSize);
-  // The pivot rank in the sample: expected candidates = m * n/s; aim for a
-  // few k of headroom so unlucky samples still cover the top-k.
-  const size_t m = std::min(
-      s / 2, std::max<size_t>(32, CeilDiv(4 * k * s, std::max(n, s))));
-  if (n <= 4 * s || m >= s / 2) {
-    // Too small (or k too large relative to n) for sampling to pay off.
-    MPTOPK_ASSIGN_OR_RETURN(auto r, BitonicTopKDevice(dev, data, n, k));
-    return finish(std::move(r));
-  }
+    // 1+2: sample and find the pivot key.
+    MPTOPK_ASSIGN_OR_RETURN(auto sample, dev.Alloc<E>(s));
+    GlobalSpan<E> sample_span(sample);
+    MPTOPK_RETURN_NOT_OK(
+        LaunchSampleGather(dev, in, n, sample_span, s, n / s));
+    MPTOPK_ASSIGN_OR_RETURN(
+        auto sample_top,
+        BitonicTopKDevice(dev, sample, s, NextPowerOfTwo(m)));
+    const auto pivot =
+        ElementTraits<E>::PrimaryKey(sample_top.items.back());
 
-  // 1+2: sample and find the pivot key.
-  MPTOPK_ASSIGN_OR_RETURN(auto sample, dev.Alloc<E>(s));
-  GlobalSpan<E> sample_span(sample);
-  MPTOPK_RETURN_NOT_OK(LaunchSampleGather(dev, in, n, sample_span, s, n / s));
-  MPTOPK_ASSIGN_OR_RETURN(
-      auto sample_top,
-      BitonicTopKDevice(dev, sample, s, NextPowerOfTwo(m)));
-  const auto pivot =
-      ElementTraits<E>::PrimaryKey(sample_top.items.back());
+    // 3: threshold filter.
+    const size_t cap = std::max<size_t>(
+        2 * k, static_cast<size_t>(kMaxCandidateFraction *
+                                   static_cast<double>(n)));
+    MPTOPK_ASSIGN_OR_RETURN(auto cand, dev.Alloc<E>(cap));
+    MPTOPK_ASSIGN_OR_RETURN(auto counter, dev.Alloc<uint32_t>(1));
+    counter.host_data()[0] = 0;
+    GlobalSpan<E> cand_span(cand);
+    GlobalSpan<uint32_t> cnt(counter);
+    MPTOPK_RETURN_NOT_OK(
+        LaunchThresholdFilter(dev, in, n, pivot, cand_span, cap, cnt));
+    uint32_t c = 0;
+    MPTOPK_RETURN_NOT_OK(dev.CopyToHost(&c, counter, 1));
 
-  // 3: threshold filter.
-  const size_t cap = std::max<size_t>(
-      2 * k, static_cast<size_t>(kMaxCandidateFraction *
-                                 static_cast<double>(n)));
-  MPTOPK_ASSIGN_OR_RETURN(auto cand, dev.Alloc<E>(cap));
-  MPTOPK_ASSIGN_OR_RETURN(auto counter, dev.Alloc<uint32_t>(1));
-  counter.host_data()[0] = 0;
-  GlobalSpan<E> cand_span(cand);
-  GlobalSpan<uint32_t> cnt(counter);
-  MPTOPK_RETURN_NOT_OK(
-      LaunchThresholdFilter(dev, in, n, pivot, cand_span, cap, cnt));
-  uint32_t c = 0;
-  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(&c, counter, 1));
+    if (c < k || c >= cap) {
+      // Unlucky sample (too few candidates) or non-discriminating pivot
+      // (ties / adversarial data overflowing the cap): robust fallback.
+      return BitonicTopKBody(dev, data, n, k);
+    }
 
-  if (c < k || c >= cap) {
-    // Unlucky sample (too few candidates) or non-discriminating pivot
-    // (ties / adversarial data overflowing the cap): robust fallback.
-    MPTOPK_ASSIGN_OR_RETURN(auto r, BitonicTopKDevice(dev, data, n, k));
-    return finish(std::move(r));
-  }
-
-  // 4: finish on the candidates.
-  MPTOPK_ASSIGN_OR_RETURN(auto r, BitonicTopKDevice(dev, cand, c, k));
-  return finish(std::move(r));
+    // 4: finish on the candidates.
+    return BitonicTopKBody(dev, cand, c, k);
+  });
 }
 
-#define MPTOPK_INSTANTIATE_HYBRID(E)                                        \
+#define MPTOPK_X(E, EN, NAME)                                               \
   template StatusOr<TopKResult<E>> HybridTopKDevice<E>(                     \
       const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
-
-MPTOPK_INSTANTIATE_HYBRID(float)
-MPTOPK_INSTANTIATE_HYBRID(double)
-MPTOPK_INSTANTIATE_HYBRID(uint32_t)
-MPTOPK_INSTANTIATE_HYBRID(int32_t)
-MPTOPK_INSTANTIATE_HYBRID(uint64_t)
-MPTOPK_INSTANTIATE_HYBRID(int64_t)
-MPTOPK_INSTANTIATE_HYBRID(KV)
-MPTOPK_INSTANTIATE_HYBRID(KV64)
-MPTOPK_INSTANTIATE_HYBRID(KKV)
-MPTOPK_INSTANTIATE_HYBRID(KKKV)
-
-#undef MPTOPK_INSTANTIATE_HYBRID
+MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
+#undef MPTOPK_X
 
 }  // namespace mptopk::gpu

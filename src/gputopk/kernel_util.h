@@ -1,6 +1,7 @@
 // Small device-side helpers shared by the top-k kernels: buffer fill,
-// block-level exclusive prefix sum, and a tracking wrapper that measures the
-// simulated time consumed by a sequence of launches.
+// block-level exclusive prefix sum, a tracker that measures the simulated
+// time consumed by a sequence of launches, and RunTopK, the call frame every
+// GPU top-k entry point runs in.
 #ifndef MPTOPK_GPUTOPK_KERNEL_UTIL_H_
 #define MPTOPK_GPUTOPK_KERNEL_UTIL_H_
 
@@ -8,6 +9,7 @@
 
 #include "common/bits.h"
 #include "common/status.h"
+#include "gputopk/topk_result.h"
 #include "simt/device.h"
 #include "simt/exec_ctx.h"
 
@@ -113,6 +115,27 @@ class DeviceTimeTracker {
   size_t start_launches_;
 };
 
+/// The call frame of a GPU top-k entry point. Rejects k == 0 and k > n
+/// before any device event, then runs `body` -- which checks the
+/// algorithm's own limits, launches its kernels and returns the device
+/// buffer holding the k results -- and reads the k items back. kernel_ms and
+/// kernels_launched are what the device logged while the body ran (the
+/// readback is PCIe time, not kernel time: the paper's measurement).
+template <typename E, typename Body>
+StatusOr<TopKResult<E>> RunTopK(const simt::ExecCtx& ctx, size_t n, size_t k,
+                                Body&& body) {
+  if (k == 0 || k > n) {
+    return Status::InvalidArgument("require 1 <= k <= n");
+  }
+  DeviceTimeTracker tracker(ctx);
+  MPTOPK_ASSIGN_OR_RETURN(simt::DeviceBuffer<E> out, body());
+  TopKResult<E> result;
+  result.items.resize(k);
+  MPTOPK_RETURN_NOT_OK(ctx.CopyToHost(result.items.data(), out, k));
+  result.kernel_ms = tracker.ElapsedMs();
+  result.kernels_launched = tracker.Launches();
+  return result;
+}
 
 /// Workspace for TwoWayCompactTile: shared buffers allocated once per block
 /// and reused across the block's tiles (AllocShared must not be called in a

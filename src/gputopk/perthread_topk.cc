@@ -49,15 +49,30 @@ class SharedHeap {
 
   E Min(Thread& t) const { return Slot(t, 0); }
 
-  /// Replaces the minimum with x and restores the heap property (sift-down).
-  void ReplaceMin(Thread& t, const E& x) const {
+  /// Replaces the minimum with x and restores the heap property.
+  void ReplaceMin(Thread& t, const E& x) const { SiftDown(t, x, k_); }
+
+  /// Pops the minimum (replaces the root with the last slot and shrinks).
+  /// Used only by the single-threaded final extraction.
+  E PopMin(Thread& t, size_t* size) const {
+    E top = Slot(t, 0);
+    E last = Slot(t, *size - 1);
+    --*size;
+    SiftDown(t, last, *size);
+    return top;
+  }
+
+ private:
+  /// Sifts x down from the root of the heap's first `size` slots. With
+  /// size == 0 (the last pop) there is no slot to write.
+  void SiftDown(Thread& t, const E& x, size_t size) const {
     size_t j = 0;
     while (true) {
       size_t c = 2 * j + 1;
-      if (c >= k_) break;
+      if (c >= size) break;
       ChargeLevel(t);
       E child = Slot(t, c);
-      if (c + 1 < k_) {
+      if (c + 1 < size) {
         E right = Slot(t, c + 1);
         if (ElementTraits<E>::Less(right, child)) {
           child = right;
@@ -68,38 +83,9 @@ class SharedHeap {
       SetSlot(t, j, child);
       j = c;
     }
-    SetSlot(t, j, x);
+    if (size > 0) SetSlot(t, j, x);
   }
 
-  /// Pops the minimum (replaces the root with the last slot and shrinks).
-  /// Used only by the single-threaded final extraction.
-  E PopMin(Thread& t, size_t* size) const {
-    E top = Slot(t, 0);
-    E last = Slot(t, *size - 1);
-    --*size;
-    // Sift last down within the shrunken heap.
-    size_t j = 0;
-    while (true) {
-      size_t c = 2 * j + 1;
-      if (c >= *size) break;
-      ChargeLevel(t);
-      E child = Slot(t, c);
-      if (c + 1 < *size) {
-        E right = Slot(t, c + 1);
-        if (ElementTraits<E>::Less(right, child)) {
-          child = right;
-          ++c;
-        }
-      }
-      if (!ElementTraits<E>::Less(child, last)) break;
-      SetSlot(t, j, child);
-      j = c;
-    }
-    if (*size > 0) SetSlot(t, j, last);
-    return top;
-  }
-
- private:
   SharedSpan<E> mem_;
   int nt_;
   size_t k_;
@@ -254,109 +240,78 @@ StatusOr<TopKResult<E>> PerThreadTopKDevice(const simt::ExecCtx& dev,
                                             DeviceBuffer<E>& data, size_t n,
                                             size_t k,
                                             const PerThreadOptions& opts) {
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("require 1 <= k <= n");
-  }
-  const auto& spec = dev.spec();
-  // Block size: largest power of two <= 256 whose heaps fit shared memory.
-  int nt = 256;
-  while (nt >= 32 && k * sizeof(E) * nt > spec.shared_mem_per_block) {
-    nt >>= 1;
-  }
-  if (!opts.use_registers && nt < 32) {
-    return Status::ResourceExhausted(
-        "per-thread top-k: k=" + std::to_string(k) + " needs " +
-        std::to_string(k * sizeof(E) * 32) +
-        " B shared per 32-thread block, exceeding the 48 KiB limit "
-        "(paper Section 4.1)");
-  }
-  if (opts.use_registers) nt = 256;
-
-  // Final single-block pass thread count.
-  int ft = 32;
-  while (ft >= 1 && k * sizeof(E) * ft > spec.shared_mem_per_block) {
-    ft >>= 1;
-  }
-  if (ft < 1) {
-    return Status::ResourceExhausted(
-        "per-thread top-k: even a single k-heap exceeds shared memory");
-  }
-
-  // At most enough threads to fill the device; a pass launches fewer when
-  // that would leave a thread with under 16 k's worth of elements.
-  const int max_threads = spec.num_sms * spec.max_threads_per_sm;
-
-  DeviceTimeTracker tracker(dev);
-  MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
-  GlobalSpan<E> out(out_k);
-
-  GlobalSpan<E> cur(data);
-  size_t m = n;
-  DeviceBuffer<E> buf_a, buf_b;
-  bool bufs_ready = false;
-  bool write_to_a = true;  // ping-pong parity
-  const size_t final_threshold =
-      std::max<size_t>(static_cast<size_t>(ft) * k * 2, 4096);
-
-  while (m > final_threshold) {
-    size_t want_threads = m / (16 * k);
-    int grid = static_cast<int>(
-        std::clamp<size_t>(CeilDiv(want_threads, nt), 1,
-                           static_cast<size_t>(max_threads / nt)));
-    size_t nt_total = static_cast<size_t>(grid) * nt;
-    if (nt_total * k >= m) break;  // a pass would not reduce the data
-    if (!bufs_ready) {
-      MPTOPK_ASSIGN_OR_RETURN(buf_a, dev.Alloc<E>(nt_total * k));
-      MPTOPK_ASSIGN_OR_RETURN(buf_b, dev.Alloc<E>(nt_total * k));
-      bufs_ready = true;
+  return RunTopK<E>(dev, n, k, [&]() -> StatusOr<DeviceBuffer<E>> {
+    const auto& spec = dev.spec();
+    // Block size: largest power of two <= 256 whose heaps fit shared memory.
+    int nt = 256;
+    while (nt >= 32 && k * sizeof(E) * nt > spec.shared_mem_per_block) {
+      nt >>= 1;
     }
-    GlobalSpan<E> dst = write_to_a ? GlobalSpan<E>(buf_a)
-                                   : GlobalSpan<E>(buf_b);
-    Status st = opts.use_registers
-                    ? LaunchRegisterPass(dev, cur, m, dst, k, grid, nt)
-                    : LaunchHeapPass(dev, cur, m, dst, k, grid, nt);
-    MPTOPK_RETURN_NOT_OK(st);
-    cur = dst;
-    write_to_a = !write_to_a;
-    m = nt_total * k;
-  }
-  MPTOPK_RETURN_NOT_OK(LaunchFinal(dev, cur, m, out, k, ft));
+    if (!opts.use_registers && nt < 32) {
+      return Status::ResourceExhausted(
+          "per-thread top-k: k=" + std::to_string(k) + " needs " +
+          std::to_string(k * sizeof(E) * 32) +
+          " B shared per 32-thread block, exceeding the 48 KiB limit "
+          "(paper Section 4.1)");
+    }
+    if (opts.use_registers) nt = 256;
 
-  TopKResult<E> result;
-  result.items.resize(k);
-  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
-  result.kernel_ms = tracker.ElapsedMs();
-  result.kernels_launched = tracker.Launches();
-  return result;
+    // Final single-block pass thread count.
+    int ft = 32;
+    while (ft >= 1 && k * sizeof(E) * ft > spec.shared_mem_per_block) {
+      ft >>= 1;
+    }
+    if (ft < 1) {
+      return Status::ResourceExhausted(
+          "per-thread top-k: even a single k-heap exceeds shared memory");
+    }
+
+    // At most enough threads to fill the device; a pass launches fewer when
+    // that would leave a thread with under 16 k's worth of elements.
+    const int max_threads = spec.num_sms * spec.max_threads_per_sm;
+
+    MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
+    GlobalSpan<E> cur(data);
+    size_t m = n;
+    DeviceBuffer<E> buf_a, buf_b;
+    bool bufs_ready = false;
+    bool write_to_a = true;  // ping-pong parity
+    const size_t final_threshold =
+        std::max<size_t>(static_cast<size_t>(ft) * k * 2, 4096);
+
+    while (m > final_threshold) {
+      size_t want_threads = m / (16 * k);
+      int grid = static_cast<int>(
+          std::clamp<size_t>(CeilDiv(want_threads, nt), 1,
+                             static_cast<size_t>(max_threads / nt)));
+      size_t nt_total = static_cast<size_t>(grid) * nt;
+      if (nt_total * k >= m) break;  // a pass would not reduce the data
+      if (!bufs_ready) {
+        MPTOPK_ASSIGN_OR_RETURN(buf_a, dev.Alloc<E>(nt_total * k));
+        MPTOPK_ASSIGN_OR_RETURN(buf_b, dev.Alloc<E>(nt_total * k));
+        bufs_ready = true;
+      }
+      GlobalSpan<E> dst = write_to_a ? GlobalSpan<E>(buf_a)
+                                     : GlobalSpan<E>(buf_b);
+      Status st = opts.use_registers
+                      ? LaunchRegisterPass(dev, cur, m, dst, k, grid, nt)
+                      : LaunchHeapPass(dev, cur, m, dst, k, grid, nt);
+      MPTOPK_RETURN_NOT_OK(st);
+      cur = dst;
+      write_to_a = !write_to_a;
+      m = nt_total * k;
+    }
+    MPTOPK_RETURN_NOT_OK(
+        LaunchFinal(dev, cur, m, GlobalSpan<E>(out_k), k, ft));
+    return out_k;
+  });
 }
 
-template <typename E>
-StatusOr<TopKResult<E>> PerThreadTopK(const simt::ExecCtx& dev, const E* data,
-                                      size_t n, size_t k,
-                                      const PerThreadOptions& opts) {
-  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
-  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
-  return PerThreadTopKDevice(dev, buf, n, k, opts);
-}
-
-#define MPTOPK_INSTANTIATE_PERTHREAD(E)                                     \
+#define MPTOPK_X(E, EN, NAME)                                               \
   template StatusOr<TopKResult<E>> PerThreadTopKDevice<E>(                  \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                      \
-      const PerThreadOptions&);                                             \
-  template StatusOr<TopKResult<E>> PerThreadTopK<E>(                        \
-      const simt::ExecCtx&, const E*, size_t, size_t, const PerThreadOptions&);
-
-MPTOPK_INSTANTIATE_PERTHREAD(float)
-MPTOPK_INSTANTIATE_PERTHREAD(double)
-MPTOPK_INSTANTIATE_PERTHREAD(uint32_t)
-MPTOPK_INSTANTIATE_PERTHREAD(int32_t)
-MPTOPK_INSTANTIATE_PERTHREAD(uint64_t)
-MPTOPK_INSTANTIATE_PERTHREAD(int64_t)
-MPTOPK_INSTANTIATE_PERTHREAD(KV)
-MPTOPK_INSTANTIATE_PERTHREAD(KV64)
-MPTOPK_INSTANTIATE_PERTHREAD(KKV)
-MPTOPK_INSTANTIATE_PERTHREAD(KKKV)
-
-#undef MPTOPK_INSTANTIATE_PERTHREAD
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,               \
+      const PerThreadOptions&);
+MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
+#undef MPTOPK_X
 
 }  // namespace mptopk::gpu

@@ -44,12 +44,6 @@ StatusOr<TopKResult<E>> PerThreadTopKDevice(const simt::ExecCtx& dev,
                                             size_t n, size_t k,
                                             const PerThreadOptions& opts = {});
 
-/// Host-staging convenience wrapper.
-template <typename E>
-StatusOr<TopKResult<E>> PerThreadTopK(const simt::ExecCtx& dev, const E* data,
-                                      size_t n, size_t k,
-                                      const PerThreadOptions& opts = {});
-
 }  // namespace mptopk::gpu
 
 #endif  // MPTOPK_GPUTOPK_PERTHREAD_TOPK_H_

@@ -257,51 +257,32 @@ template <typename E>
 StatusOr<TopKResult<E>> SortTopKDevice(const simt::ExecCtx& dev,
                                        DeviceBuffer<E>& data, size_t n,
                                        size_t k) {
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("require 1 <= k <= n");
-  }
-  DeviceTimeTracker tracker(dev);
-  MPTOPK_ASSIGN_OR_RETURN(auto sorted, dev.Alloc<E>(n));
-  MPTOPK_RETURN_NOT_OK(RadixSortDevice(dev, data, n, &sorted));
-  // The array is ascending; emit the last k reversed (descending).
-  MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
-  GlobalSpan<E> s(sorted), o(out_k);
-  auto st = dev.Launch(
-      {.grid_dim = 1, .block_dim = kBlockDim, .name = "sort_emit_topk"},
-      [&](Block& blk) {
-        blk.ForEachThread([&](Thread& t) {
-          for (size_t i = t.tid; i < k; i += kBlockDim) {
-            o.Write(t, i, s.Read(t, n - 1 - i));
-          }
+  return RunTopK<E>(dev, n, k, [&]() -> StatusOr<DeviceBuffer<E>> {
+    MPTOPK_ASSIGN_OR_RETURN(auto sorted, dev.Alloc<E>(n));
+    MPTOPK_RETURN_NOT_OK(RadixSortDevice(dev, data, n, &sorted));
+    // The array is ascending; emit the last k reversed (descending).
+    MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
+    GlobalSpan<E> s(sorted), o(out_k);
+    auto st = dev.Launch(
+        {.grid_dim = 1, .block_dim = kBlockDim, .name = "sort_emit_topk"},
+        [&](Block& blk) {
+          blk.ForEachThread([&](Thread& t) {
+            for (size_t i = t.tid; i < k; i += kBlockDim) {
+              o.Write(t, i, s.Read(t, n - 1 - i));
+            }
+          });
         });
-      });
-  if (!st.ok()) return st.status();
-
-  TopKResult<E> result;
-  result.items.resize(k);
-  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
-  result.kernel_ms = tracker.ElapsedMs();
-  result.kernels_launched = tracker.Launches();
-  return result;
+    if (!st.ok()) return st.status();
+    return out_k;
+  });
 }
 
-#define MPTOPK_INSTANTIATE_SORT(E)                                          \
-  template Status RadixSortDevice<E>(const simt::ExecCtx&, DeviceBuffer<E>&,        \
+#define MPTOPK_X(E, EN, NAME)                                               \
+  template Status RadixSortDevice<E>(const simt::ExecCtx&, DeviceBuffer<E>&, \
                                      size_t, DeviceBuffer<E>*);              \
   template StatusOr<TopKResult<E>> SortTopKDevice<E>(                        \
       const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
-
-MPTOPK_INSTANTIATE_SORT(float)
-MPTOPK_INSTANTIATE_SORT(double)
-MPTOPK_INSTANTIATE_SORT(uint32_t)
-MPTOPK_INSTANTIATE_SORT(int32_t)
-MPTOPK_INSTANTIATE_SORT(uint64_t)
-MPTOPK_INSTANTIATE_SORT(int64_t)
-MPTOPK_INSTANTIATE_SORT(KV)
-MPTOPK_INSTANTIATE_SORT(KV64)
-MPTOPK_INSTANTIATE_SORT(KKV)
-MPTOPK_INSTANTIATE_SORT(KKKV)
-
-#undef MPTOPK_INSTANTIATE_SORT
+MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
+#undef MPTOPK_X
 
 }  // namespace mptopk::gpu

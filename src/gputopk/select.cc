@@ -261,22 +261,6 @@ class SelectPasses {
   size_t k_rem_;
 };
 
-// Selection produces an unordered top-k set; canonicalize to descending on
-// the host (k is tiny). The paper's variants likewise leave ordering to the
-// consumer.
-template <typename E>
-StatusOr<TopKResult<E>> ReadResult(const simt::ExecCtx& dev,
-                                   DeviceBuffer<E>& result_buf, size_t k,
-                                   const DeviceTimeTracker& tracker) {
-  TopKResult<E> out;
-  out.items.resize(k);
-  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(out.items.data(), result_buf, k));
-  SortDescending(&out.items);
-  out.kernel_ms = tracker.ElapsedMs();
-  out.kernels_launched = tracker.Launches();
-  return out;
-}
-
 // ---- Bucket Select's own kernels --------------------------------------------
 
 // First pass: min/max of the key bits (shared tree reduction per block, one
@@ -350,119 +334,114 @@ Status LaunchGatherMax(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
   return st.ok() ? Status::OK() : st.status();
 }
 
+// Selection produces an unordered top-k set; canonicalize to descending on
+// the host (k is tiny). The paper's variants likewise leave ordering to the
+// consumer.
+template <typename E>
+StatusOr<TopKResult<E>> Descending(StatusOr<TopKResult<E>> r) {
+  if (r.ok()) SortDescending(&r->items);
+  return r;
+}
+
 }  // namespace
 
 template <typename E>
 StatusOr<TopKResult<E>> RadixSelectTopKDevice(const simt::ExecCtx& dev,
                                               DeviceBuffer<E>& data, size_t n,
                                               size_t k) {
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("require 1 <= k <= n");
-  }
-  DeviceTimeTracker tracker(dev);
-  MPTOPK_ASSIGN_OR_RETURN(auto result_buf, dev.Alloc<E>(k));
-  GlobalSpan<E> result(result_buf);
-  SelectPasses<E, MsdDigit<E>> s(data, n, k);
-  MPTOPK_RETURN_NOT_OK(s.Alloc(dev));
+  return Descending(RunTopK<E>(dev, n, k, [&]() -> StatusOr<DeviceBuffer<E>> {
+    MPTOPK_ASSIGN_OR_RETURN(auto result_buf, dev.Alloc<E>(k));
+    GlobalSpan<E> result(result_buf);
+    SelectPasses<E, MsdDigit<E>> s(data, n, k);
+    MPTOPK_RETURN_NOT_OK(s.Alloc(dev));
 
-  const int passes = static_cast<int>(sizeof(KeyBits<E>));
-  for (int pass = 0; pass < passes && s.k_rem() > 0; ++pass) {
-    const MsdDigit<E> digit{pass};
-    MPTOPK_ASSIGN_OR_RETURN(Split split, s.Histogram(dev, digit));
-    if (split.hi_count == 0 && split.eq_count == s.cand_count()) {
-      // No reduction: skip the clustering write, just advance the digit
-      // (paper Section 4.2). All candidates share this digit value.
-      continue;
+    const int passes = static_cast<int>(sizeof(KeyBits<E>));
+    for (int pass = 0; pass < passes && s.k_rem() > 0; ++pass) {
+      const MsdDigit<E> digit{pass};
+      MPTOPK_ASSIGN_OR_RETURN(Split split, s.Histogram(dev, digit));
+      if (split.hi_count == 0 && split.eq_count == s.cand_count()) {
+        // No reduction: skip the clustering write, just advance the digit
+        // (paper Section 4.2). All candidates share this digit value.
+        continue;
+      }
+      MPTOPK_RETURN_NOT_OK(s.Cluster(dev, digit, split, result));
+      if (s.cand_count() == s.k_rem()) {
+        MPTOPK_RETURN_NOT_OK(s.CopyOutRemaining(dev, result));
+      }
     }
-    MPTOPK_RETURN_NOT_OK(s.Cluster(dev, digit, split, result));
-    if (s.cand_count() == s.k_rem()) {
+    if (s.k_rem() > 0) {
+      // All remaining candidates tie on the full key; pad with any k_rem.
       MPTOPK_RETURN_NOT_OK(s.CopyOutRemaining(dev, result));
     }
-  }
-  if (s.k_rem() > 0) {
-    // All remaining candidates tie on the full key; pad with any k_rem.
-    MPTOPK_RETURN_NOT_OK(s.CopyOutRemaining(dev, result));
-  }
-  return ReadResult(dev, result_buf, k, tracker);
+    return result_buf;
+  }));
 }
 
 template <typename E>
 StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
                                                DeviceBuffer<E>& data,
                                                size_t n, size_t k) {
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("require 1 <= k <= n");
-  }
-  using U = KeyBits<E>;
-  using Bucket = EqualWidthBucket<E>;
-  constexpr int kMaxPasses = 64;
-  DeviceTimeTracker tracker(dev);
-  MPTOPK_ASSIGN_OR_RETURN(auto result_buf, dev.Alloc<E>(k));
-  MPTOPK_ASSIGN_OR_RETURN(auto minmax_buf, dev.Alloc<uint64_t>(2));
-  minmax_buf.host_data()[0] = UINT64_MAX;
-  minmax_buf.host_data()[1] = 0;
+  return Descending(RunTopK<E>(dev, n, k, [&]() -> StatusOr<DeviceBuffer<E>> {
+    using U = KeyBits<E>;
+    using Bucket = EqualWidthBucket<E>;
+    constexpr int kMaxPasses = 64;
+    MPTOPK_ASSIGN_OR_RETURN(auto result_buf, dev.Alloc<E>(k));
+    MPTOPK_ASSIGN_OR_RETURN(auto minmax_buf, dev.Alloc<uint64_t>(2));
+    minmax_buf.host_data()[0] = UINT64_MAX;
+    minmax_buf.host_data()[1] = 0;
 
-  GlobalSpan<E> input(data);
-  GlobalSpan<E> result(result_buf);
-  MPTOPK_RETURN_NOT_OK(
-      LaunchMinMax(dev, input, n, GlobalSpan<uint64_t>(minmax_buf)));
-  uint64_t mm[2];
-  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(mm, minmax_buf, 2));
+    GlobalSpan<E> input(data);
+    GlobalSpan<E> result(result_buf);
+    MPTOPK_RETURN_NOT_OK(
+        LaunchMinMax(dev, input, n, GlobalSpan<uint64_t>(minmax_buf)));
+    uint64_t mm[2];
+    MPTOPK_RETURN_NOT_OK(dev.CopyToHost(mm, minmax_buf, 2));
 
-  if (k == 1) {
-    // Paper: at k=1 bucket select terminates right after min/max.
-    MPTOPK_ASSIGN_OR_RETURN(auto flag, dev.Alloc<uint32_t>(1));
-    flag.host_data()[0] = 0;
-    MPTOPK_RETURN_NOT_OK(LaunchGatherMax(dev, input, n, mm[1], result,
-                                         GlobalSpan<uint32_t>(flag)));
-    return ReadResult(dev, result_buf, k, tracker);
-  }
-
-  U lo = static_cast<U>(mm[0]);
-  U hi = static_cast<U>(mm[1]);
-  SelectPasses<E, Bucket> s(data, n, k);
-  MPTOPK_RETURN_NOT_OK(s.Alloc(dev));
-  for (int pass = 0; pass < kMaxPasses && s.k_rem() > 0; ++pass) {
-    if (lo == hi || s.cand_count() == s.k_rem()) {
-      // Degenerate range (all candidates tie) or exact fit: flush.
-      MPTOPK_RETURN_NOT_OK(s.CopyOutRemaining(dev, result));
-      break;
+    if (k == 1) {
+      // Paper: at k=1 bucket select terminates right after min/max.
+      MPTOPK_ASSIGN_OR_RETURN(auto flag, dev.Alloc<uint32_t>(1));
+      flag.host_data()[0] = 0;
+      MPTOPK_RETURN_NOT_OK(LaunchGatherMax(dev, input, n, mm[1], result,
+                                           GlobalSpan<uint32_t>(flag)));
+      return result_buf;
     }
-    const Bucket bucket{lo, static_cast<U>((hi - lo) / Bucket::kBins + 1)};
-    MPTOPK_ASSIGN_OR_RETURN(Split split, s.Histogram(dev, bucket));
-    MPTOPK_RETURN_NOT_OK(s.Cluster(dev, bucket, split, result));
 
-    // Narrow the range to the pivot bucket (overflow-safe at the top of the
-    // unsigned domain).
-    U new_lo = static_cast<U>(lo + bucket.width * static_cast<U>(split.pivot));
-    U new_hi = static_cast<U>(new_lo + (bucket.width - 1));
-    if (new_hi < new_lo || new_hi > hi) new_hi = hi;
-    lo = new_lo;
-    hi = new_hi;
-  }
-  if (s.k_rem() > 0) {
-    return Status::Internal("bucket select failed to converge");
-  }
-  return ReadResult(dev, result_buf, k, tracker);
+    U lo = static_cast<U>(mm[0]);
+    U hi = static_cast<U>(mm[1]);
+    SelectPasses<E, Bucket> s(data, n, k);
+    MPTOPK_RETURN_NOT_OK(s.Alloc(dev));
+    for (int pass = 0; pass < kMaxPasses && s.k_rem() > 0; ++pass) {
+      if (lo == hi || s.cand_count() == s.k_rem()) {
+        // Degenerate range (all candidates tie) or exact fit: flush.
+        MPTOPK_RETURN_NOT_OK(s.CopyOutRemaining(dev, result));
+        break;
+      }
+      const Bucket bucket{lo, static_cast<U>((hi - lo) / Bucket::kBins + 1)};
+      MPTOPK_ASSIGN_OR_RETURN(Split split, s.Histogram(dev, bucket));
+      MPTOPK_RETURN_NOT_OK(s.Cluster(dev, bucket, split, result));
+
+      // Narrow the range to the pivot bucket (overflow-safe at the top of
+      // the unsigned domain).
+      U new_lo =
+          static_cast<U>(lo + bucket.width * static_cast<U>(split.pivot));
+      U new_hi = static_cast<U>(new_lo + (bucket.width - 1));
+      if (new_hi < new_lo || new_hi > hi) new_hi = hi;
+      lo = new_lo;
+      hi = new_hi;
+    }
+    if (s.k_rem() > 0) {
+      return Status::Internal("bucket select failed to converge");
+    }
+    return result_buf;
+  }));
 }
 
-#define MPTOPK_INSTANTIATE_SELECT(E)                                   \
+#define MPTOPK_X(E, EN, NAME)                                          \
   template StatusOr<TopKResult<E>> RadixSelectTopKDevice<E>(           \
       const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);         \
   template StatusOr<TopKResult<E>> BucketSelectTopKDevice<E>(          \
       const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
-
-MPTOPK_INSTANTIATE_SELECT(float)
-MPTOPK_INSTANTIATE_SELECT(double)
-MPTOPK_INSTANTIATE_SELECT(uint32_t)
-MPTOPK_INSTANTIATE_SELECT(int32_t)
-MPTOPK_INSTANTIATE_SELECT(uint64_t)
-MPTOPK_INSTANTIATE_SELECT(int64_t)
-MPTOPK_INSTANTIATE_SELECT(KV)
-MPTOPK_INSTANTIATE_SELECT(KV64)
-MPTOPK_INSTANTIATE_SELECT(KKV)
-MPTOPK_INSTANTIATE_SELECT(KKKV)
-
-#undef MPTOPK_INSTANTIATE_SELECT
+MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
+#undef MPTOPK_X
 
 }  // namespace mptopk::gpu

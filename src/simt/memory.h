@@ -108,13 +108,6 @@ class GlobalSpan {
     return Ref(i).fetch_add(v, std::memory_order_relaxed);
   }
 
-  T AtomicMax(Thread& t, size_t i, T v) const {
-    assert(i < size_);
-    Record(t, i);
-    AwaitTurn(t);
-    return FetchMax(i, v);
-  }
-
   /// Atomic compare-and-swap; returns the old value (equal to `expected` on
   /// success). Turnstiled like AtomicAdd.
   T AtomicCas(Thread& t, size_t i, T expected, T desired) const {
@@ -124,13 +117,6 @@ class GlobalSpan {
     T old = expected;
     Ref(i).compare_exchange_strong(old, desired, std::memory_order_relaxed);
     return old;
-  }
-
-  T AtomicMin(Thread& t, size_t i, T v) const {
-    assert(i < size_);
-    Record(t, i);
-    AwaitTurn(t);
-    return FetchMin(i, v);
   }
 
   /// Atomic add whose result is discarded (CUDA atomicAdd with unused
@@ -163,7 +149,7 @@ class GlobalSpan {
   }
 
  private:
-  /// The one trace record all seven atomics share (write + atomic), so a
+  /// The one trace record all five atomics share (write + atomic), so a
   /// Reduce* migration cannot change metrics.
   void Record(Thread& t, size_t i) const {
     if (t.tracer != nullptr) {

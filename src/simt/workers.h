@@ -14,7 +14,7 @@
 //    per-block regions within a launch (CUDA forbids inter-block ordering
 //    assumptions, and every such region is derived from the block index or
 //    from a turnstiled atomic reservation, below).
-//  * Value-returning global atomics (AtomicAdd/Max/Min/Cas) pass through a
+//  * Value-returning global atomics (AtomicAdd, AtomicCas) pass through a
 //    `LaunchOrder` turnstile: block b's first such atomic waits until blocks
 //    0..b-1 have completed, so every returned value — and therefore every
 //    downstream address, trace and metric — is the in-order one.

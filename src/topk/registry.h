@@ -29,21 +29,9 @@
 
 namespace mptopk::topk {
 
-// Every element type any operator can run over. X(type, enumerator, name).
-// The per-type virtual hooks of TopKOperator are generated from this list,
-// so a type added here is immediately addressable by every operator.
-#define MPTOPK_TOPK_ELEMENT_TYPES(X) \
-  X(float, kF32, "f32")              \
-  X(double, kF64, "f64")             \
-  X(uint32_t, kU32, "u32")           \
-  X(int32_t, kI32, "i32")            \
-  X(uint64_t, kU64, "u64")           \
-  X(int64_t, kI64, "i64")            \
-  X(::mptopk::KV, kKV, "kv")         \
-  X(::mptopk::KV64, kKV64, "kv64")   \
-  X(::mptopk::KKV, kKKV, "kkv")      \
-  X(::mptopk::KKKV, kKKKV, "kkkv")
-
+// ElemType and the per-type virtual hooks of TopKOperator are generated from
+// MPTOPK_TOPK_ELEMENT_TYPES (common/tuple_types.h), the same list the GPU
+// algorithms are instantiated from.
 enum class ElemType : int {
 #define MPTOPK_X(T, EN, NAME) EN,
   MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)

@@ -38,11 +38,23 @@ void CheckResult(const std::vector<E>& got, const std::vector<E>& expect) {
   }
 }
 
+// Stages `data` to the device and runs the kernel entry point itself (the
+// registry's BitonicTopK operator would round k up; these tests pin the
+// kernel's own contract and its optimization options).
+template <typename E>
+StatusOr<TopKResult<E>> StagedBitonicTopK(simt::Device& dev, const E* data,
+                                          size_t n, size_t k,
+                                          const BitonicOptions& opts = {}) {
+  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
+  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
+  return BitonicTopKDevice(dev, buf, n, k, opts);
+}
+
 template <typename E>
 void RunCase(const std::vector<E>& data, size_t k,
              const BitonicOptions& opts = {}) {
   simt::Device dev;
-  auto result = BitonicTopK(dev, data.data(), data.size(), k, opts);
+  auto result = StagedBitonicTopK(dev, data.data(), data.size(), k, opts);
   ASSERT_TRUE(result.ok()) << result.status();
   CheckResult(result->items, ReferenceTopK(data, k));
   EXPECT_GT(result->kernel_ms, 0.0);
@@ -89,7 +101,7 @@ TEST(BitonicTopKTest, NegativeValues) {
 TEST(BitonicTopKTest, RejectsNonPowerOfTwoK) {
   simt::Device dev;
   auto data = GenerateFloats(1024, Distribution::kUniform);
-  auto r = BitonicTopK(dev, data.data(), data.size(), 3);
+  auto r = StagedBitonicTopK(dev, data.data(), data.size(), 3);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -97,19 +109,19 @@ TEST(BitonicTopKTest, RejectsNonPowerOfTwoK) {
 TEST(BitonicTopKTest, RejectsKGreaterThanN) {
   simt::Device dev;
   auto data = GenerateFloats(16, Distribution::kUniform);
-  EXPECT_FALSE(BitonicTopK(dev, data.data(), data.size(), 32).ok());
+  EXPECT_FALSE(StagedBitonicTopK(dev, data.data(), data.size(), 32).ok());
 }
 
 TEST(BitonicTopKTest, RejectsZeroK) {
   simt::Device dev;
   auto data = GenerateFloats(16, Distribution::kUniform);
-  EXPECT_FALSE(BitonicTopK(dev, data.data(), data.size(), 0).ok());
+  EXPECT_FALSE(StagedBitonicTopK(dev, data.data(), data.size(), 0).ok());
 }
 
 TEST(BitonicTopKTest, RejectsOversizedK) {
   simt::Device dev;
   auto data = GenerateFloats(1 << 16, Distribution::kUniform);
-  auto r = BitonicTopK(dev, data.data(), data.size(), 4096);
+  auto r = StagedBitonicTopK(dev, data.data(), data.size(), 4096);
   ASSERT_FALSE(r.ok());
 }
 
@@ -181,7 +193,8 @@ TEST(BitonicOptLevelTest, LadderIsMonotoneForTop32) {
   double prev_ms = 1e30;
   for (int level = 0; level <= 6; ++level) {
     simt::Device dev;
-    auto r = BitonicTopK(dev, data.data(), data.size(), 32, LevelOpts(level));
+    auto r = StagedBitonicTopK(dev, data.data(), data.size(), 32,
+                               LevelOpts(level));
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_LE(r->kernel_ms, prev_ms * 1.10)
         << "optimization level " << level << " slowed things down";
@@ -227,7 +240,7 @@ TEST(BitonicTopKTypesTest, KVCarriesPayload) {
     data[i] = KV{keys[i], static_cast<uint32_t>(i)};
   }
   simt::Device dev;
-  auto r = BitonicTopK(dev, data.data(), data.size(), 32);
+  auto r = StagedBitonicTopK(dev, data.data(), data.size(), 32);
   ASSERT_TRUE(r.ok()) << r.status();
   auto expect = ReferenceTopK(data, 32);
   // Uniform floats from mt19937 are almost surely unique -> payloads must
@@ -249,7 +262,7 @@ TEST(BitonicTopKTypesTest, KKVLexicographicTieBreak) {
                   static_cast<uint32_t>(i)};
   }
   simt::Device dev;
-  auto r = BitonicTopK(dev, data.data(), data.size(), 16);
+  auto r = StagedBitonicTopK(dev, data.data(), data.size(), 16);
   ASSERT_TRUE(r.ok()) << r.status();
   auto expect = ReferenceTopK(data, 16);
   for (size_t i = 0; i < 16; ++i) {
@@ -268,7 +281,7 @@ TEST(BitonicTopKTypesTest, KKKVRuns) {
                    static_cast<uint32_t>(i)};
   }
   simt::Device dev;
-  auto r = BitonicTopK(dev, data.data(), data.size(), 64);
+  auto r = StagedBitonicTopK(dev, data.data(), data.size(), 64);
   ASSERT_TRUE(r.ok()) << r.status();
   CheckResult(r->items, ReferenceTopK(data, 64));
 }
@@ -284,7 +297,7 @@ TEST(BitonicTopKPerfTest, DistributionInvariantTime) {
                     Distribution::kBucketKiller}) {
     simt::Device dev;
     auto data = GenerateFloats(n, dist);
-    auto r = BitonicTopK(dev, data.data(), n, 32);
+    auto r = StagedBitonicTopK(dev, data.data(), n, 32);
     ASSERT_TRUE(r.ok());
     if (base_ms < 0) {
       base_ms = r->kernel_ms;
@@ -305,8 +318,8 @@ TEST(BitonicTopKPerfTest, PaddingReducesBankConflicts) {
   padded.pad_shared = true;
 
   simt::Device d1, d2;
-  ASSERT_TRUE(BitonicTopK(d1, data.data(), n, 32, unpadded).ok());
-  ASSERT_TRUE(BitonicTopK(d2, data.data(), n, 32, padded).ok());
+  ASSERT_TRUE(StagedBitonicTopK(d1, data.data(), n, 32, unpadded).ok());
+  ASSERT_TRUE(StagedBitonicTopK(d2, data.data(), n, 32, padded).ok());
   EXPECT_LT(d2.total_metrics().bank_conflict_cycles,
             d1.total_metrics().bank_conflict_cycles / 2);
 }

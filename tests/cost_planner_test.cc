@@ -5,7 +5,6 @@
 
 #include "common/distributions.h"
 #include "cost/cost_model.h"
-#include "gputopk/bitonic_topk.h"
 #include "planner/plan_topk.h"
 #include "topk/registry.h"
 
@@ -90,7 +89,8 @@ TEST(CostVsSimulatorTest, BitonicTracksMeasured) {
   for (size_t k : {32, 128, 256}) {
     simt::Device dev;
     dev.set_trace_sample_target(64);
-    auto r = gpu::BitonicTopK(dev, data.data(), n, k);
+    auto r = topk::FindOperator("BitonicTopK").value()->TopKHost(
+        dev, data.data(), n, k);
     ASSERT_TRUE(r.ok());
     double predicted = cost::BitonicTopKCostMs(Spec(), FloatWorkload(n, k));
     // Paper: the model under-predicts but tracks trends; require within 2x

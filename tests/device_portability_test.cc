@@ -5,8 +5,6 @@
 
 #include "common/distributions.h"
 #include "cost/cost_model.h"
-#include "gputopk/bitonic_topk.h"
-#include "gputopk/perthread_topk.h"
 #include "planner/plan_topk.h"
 #include "topk/registry.h"
 
@@ -36,8 +34,9 @@ TEST(DevicePortabilityTest, FasterDeviceIsFaster) {
   simt::Device pascal(simt::DeviceSpec::TeslaP100());
   maxwell.set_trace_sample_target(16);
   pascal.set_trace_sample_target(16);
-  auto rm = gpu::BitonicTopK(maxwell, data.data(), data.size(), 32);
-  auto rp = gpu::BitonicTopK(pascal, data.data(), data.size(), 32);
+  const topk::TopKOperator* bitonic = topk::FindOperator("BitonicTopK").value();
+  auto rm = bitonic->TopKHost(maxwell, data.data(), data.size(), 32);
+  auto rp = bitonic->TopKHost(pascal, data.data(), data.size(), 32);
   ASSERT_TRUE(rm.ok());
   ASSERT_TRUE(rp.ok());
   EXPECT_EQ(rm->items, rp->items) << "results must be device-independent";
@@ -69,10 +68,10 @@ TEST(DevicePortabilityTest, PerThreadLimitsFollowSharedMemory) {
   // shares -> same boundary.
   simt::Device dev(simt::DeviceSpec::TeslaP100());
   auto data = GenerateFloats(1 << 14, Distribution::kUniform, 33);
-  EXPECT_TRUE(
-      gpu::PerThreadTopK(dev, data.data(), data.size(), 256).ok());
-  EXPECT_FALSE(
-      gpu::PerThreadTopK(dev, data.data(), data.size(), 512).ok());
+  const topk::TopKOperator* perthread =
+      topk::FindOperator("PerThreadTopK").value();
+  EXPECT_TRUE(perthread->TopKHost(dev, data.data(), data.size(), 256).ok());
+  EXPECT_FALSE(perthread->TopKHost(dev, data.data(), data.size(), 512).ok());
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/distributions.h"
-#include "gputopk/bitonic_topk.h"
 #include "gputopk/perthread_topk.h"
 #include "topk/registry.h"
 
@@ -110,10 +109,21 @@ TEST(AlgoTypesTest, KVPayloadSurvivesAllAlgorithms) {
 
 // --- Paper resource-limit behaviour (Section 4.1 / 6.2) --------------------
 
+// Stages `data` and runs the per-thread kernel with `opts` (the registry's
+// PerThreadTopK operator runs the default shared-memory variant only).
+template <typename E>
+StatusOr<TopKResult<E>> StagedPerThreadTopK(simt::Device& dev, const E* data,
+                                            size_t n, size_t k,
+                                            const PerThreadOptions& opts = {}) {
+  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
+  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
+  return PerThreadTopKDevice(dev, buf, n, k, opts);
+}
+
 TEST(PerThreadLimitsTest, FailsAtK512Floats) {
   simt::Device dev;
   auto data = GenerateFloats(1 << 16, Distribution::kUniform);
-  auto r = PerThreadTopK(dev, data.data(), data.size(), 512);
+  auto r = StagedPerThreadTopK(dev, data.data(), data.size(), 512);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
@@ -121,8 +131,8 @@ TEST(PerThreadLimitsTest, FailsAtK512Floats) {
 TEST(PerThreadLimitsTest, FailsAtK256Doubles) {
   simt::Device dev;
   auto data = GenerateDoubles(1 << 15, Distribution::kUniform);
-  EXPECT_TRUE(PerThreadTopK(dev, data.data(), data.size(), 128).ok());
-  auto r = PerThreadTopK(dev, data.data(), data.size(), 256);
+  EXPECT_TRUE(StagedPerThreadTopK(dev, data.data(), data.size(), 128).ok());
+  auto r = StagedPerThreadTopK(dev, data.data(), data.size(), 256);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
@@ -130,7 +140,7 @@ TEST(PerThreadLimitsTest, FailsAtK256Doubles) {
 TEST(PerThreadLimitsTest, K256FloatsStillWorks) {
   simt::Device dev;
   auto data = GenerateFloats(1 << 16, Distribution::kUniform);
-  auto r = PerThreadTopK(dev, data.data(), data.size(), 256);
+  auto r = StagedPerThreadTopK(dev, data.data(), data.size(), 256);
   ASSERT_TRUE(r.ok()) << r.status();
   CheckKeys(*r, data, 256);
 }
@@ -143,7 +153,7 @@ TEST(PerThreadRegistersTest, CorrectAcrossK) {
     simt::Device dev;
     PerThreadOptions o;
     o.use_registers = true;
-    auto r = PerThreadTopK(dev, data.data(), data.size(), k, o);
+    auto r = StagedPerThreadTopK(dev, data.data(), data.size(), k, o);
     ASSERT_TRUE(r.ok()) << r.status();
     CheckKeys(*r, data, k);
   }
@@ -154,8 +164,10 @@ TEST(PerThreadRegistersTest, SpillsBillLocalTraffic) {
   PerThreadOptions o;
   o.use_registers = true;
   simt::Device small, large;
-  ASSERT_TRUE(PerThreadTopK(small, data.data(), data.size(), 32, o).ok());
-  ASSERT_TRUE(PerThreadTopK(large, data.data(), data.size(), 128, o).ok());
+  ASSERT_TRUE(
+      StagedPerThreadTopK(small, data.data(), data.size(), 32, o).ok());
+  ASSERT_TRUE(
+      StagedPerThreadTopK(large, data.data(), data.size(), 128, o).ok());
   EXPECT_EQ(small.total_metrics().local_bytes, 0u)
       << "k=32 fits the register budget";
   EXPECT_GT(large.total_metrics().local_bytes, 0u)
@@ -191,7 +203,7 @@ TEST(AlgoShapeTest, SortIsFlatInK) {
 TEST(AlgoShapeTest, BitonicBeatsSortAtSmallK) {
   auto data = GenerateFloats(1 << 20, Distribution::kUniform);
   simt::Device d1, d2;
-  double bitonic = BitonicTopK(d1, data.data(), data.size(), 32)->kernel_ms;
+  double bitonic = KernelMs("BitonicTopK", d1, data, 32);
   double sort = KernelMs("Sort", d2, data, 32);
   EXPECT_LT(bitonic * 4, sort) << "paper reports up to 15x";
 }
@@ -217,7 +229,7 @@ TEST(AlgoShapeTest, BucketKillerDegradesRadixSelectToSortCost) {
   double t_uniform = KernelMs("RadixSelect", d2, uniform, 32);
   EXPECT_GT(t_killer, t_uniform * 1.5);
   // And bitonic is unaffected (data-oblivious).
-  double t_bitonic = BitonicTopK(d3, killer.data(), n, 32)->kernel_ms;
+  double t_bitonic = KernelMs("BitonicTopK", d3, killer, 32);
   EXPECT_LT(t_bitonic, t_killer);
 }
 
@@ -234,8 +246,8 @@ TEST(AlgoShapeTest, PerThreadOccupancyCliffAtLargeK) {
   const size_t n = 1 << 20;
   auto data = GenerateFloats(n, Distribution::kUniform);
   simt::Device d1, d2;
-  double t16 = PerThreadTopK(d1, data.data(), n, 16)->kernel_ms;
-  double t256 = PerThreadTopK(d2, data.data(), n, 256)->kernel_ms;
+  double t16 = KernelMs("PerThreadTopK", d1, data, 16);
+  double t256 = KernelMs("PerThreadTopK", d2, data, 256);
   EXPECT_GT(t256, t16 * 2) << "shared-memory occupancy loss (paper Fig 11a)";
 }
 

@@ -6,7 +6,6 @@
 #include <algorithm>
 
 #include "common/distributions.h"
-#include "gputopk/bitonic_topk.h"
 #include "gputopk/hybrid_topk.h"
 #include "topk/registry.h"
 
@@ -32,6 +31,14 @@ template <typename E>
 StatusOr<TopKResult<E>> RunHybrid(simt::Device& dev, const std::vector<E>& data,
                                   size_t k) {
   return topk::FindOperator("HybridTopK").value()->TopKHost(
+      dev, data.data(), data.size(), k);
+}
+
+// Host-staged run of the BitonicTopK operator, the hybrid's reference.
+template <typename E>
+StatusOr<TopKResult<E>> RunBitonic(simt::Device& dev,
+                                   const std::vector<E>& data, size_t k) {
+  return topk::FindOperator("BitonicTopK").value()->TopKHost(
       dev, data.data(), data.size(), k);
 }
 
@@ -72,7 +79,7 @@ TEST(HybridTopKTest, BucketKillerTakesFallback) {
   auto data = GenerateFloats(1 << 16, Distribution::kBucketKiller);
   simt::Device with_hybrid, plain;
   auto hy = RunHybrid(with_hybrid, data, 32);
-  auto bi = BitonicTopK(plain, data.data(), data.size(), 32);
+  auto bi = RunBitonic(plain, data, 32);
   ASSERT_TRUE(hy.ok());
   ASSERT_TRUE(bi.ok());
   EXPECT_EQ(hy->items, bi->items);
@@ -90,7 +97,7 @@ TEST(HybridTopKTest, BeatsBitonicOnUniformIntsAtScale) {
   d1.set_trace_sample_target(24);
   d2.set_trace_sample_target(24);
   auto hy = RunHybrid(d1, data, 32);
-  auto bi = BitonicTopK(d2, data.data(), n, 32);
+  auto bi = RunBitonic(d2, data, 32);
   ASSERT_TRUE(hy.ok());
   ASSERT_TRUE(bi.ok());
   EXPECT_LT(hy->kernel_ms, bi->kernel_ms)
@@ -108,7 +115,7 @@ TEST(HybridTopKTest, BeatsBitonicOnUniformFloatsAtScale) {
   d1.set_trace_sample_target(24);
   d2.set_trace_sample_target(24);
   auto hy = RunHybrid(d1, data, 32);
-  auto bi = BitonicTopK(d2, data.data(), n, 32);
+  auto bi = RunBitonic(d2, data, 32);
   ASSERT_TRUE(hy.ok());
   ASSERT_TRUE(bi.ok());
   EXPECT_EQ(hy->items, bi->items);

@@ -1,11 +1,23 @@
 // Unit tests for the shared device-side building blocks: FillDevice,
-// BlockExclusiveScan (property-tested across sizes), and TwoWayCompactTile.
+// BlockExclusiveScan (property-tested across sizes), TwoWayCompactTile, and
+// the RunTopK call frame every GPU top-k entry point runs in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <numeric>
 #include <random>
+#include <string>
+#include <vector>
 
+#include "common/distributions.h"
+#include "gputopk/bitonic_topk.h"
+#include "gputopk/hybrid_topk.h"
 #include "gputopk/kernel_util.h"
+#include "gputopk/perthread_topk.h"
+#include "gputopk/radix_sort.h"
+#include "gputopk/select.h"
+#include "topk/registry.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -178,6 +190,127 @@ TEST(TracerDeterminismTest, SampledTimingIsStable) {
     return stats->time.total_ms;
   };
   EXPECT_DOUBLE_EQ(run(), run());
+}
+
+// --- RunTopK: the call frame of every GPU top-k entry point ------------------
+
+// Runs `call` on `dev` and checks that the frame's stamps are views over the
+// device's log: kernel_ms is the growth of total_sim_ms() bit for bit (and
+// the sum of the new kernel_log() entries), kernels_launched the growth of
+// the log.
+void ExpectStampsMatchLog(
+    Device& dev, const std::function<StatusOr<TopKResult<float>>()>& call,
+    const std::string& label) {
+  const double ms_before = dev.total_sim_ms();
+  const size_t log_before = dev.kernel_log().size();
+  auto r = call();
+  ASSERT_TRUE(r.ok()) << label << ": " << r.status();
+  EXPECT_EQ(r->kernel_ms, dev.total_sim_ms() - ms_before) << label;
+  double logged_ms = 0.0;
+  for (size_t i = log_before; i < dev.kernel_log().size(); ++i) {
+    logged_ms += dev.kernel_log()[i].time.total_ms;
+  }
+  EXPECT_NEAR(r->kernel_ms, logged_ms, 1e-12 * logged_ms) << label;
+  EXPECT_GT(r->kernels_launched, 0) << label;
+  EXPECT_EQ(static_cast<size_t>(r->kernels_launched),
+            dev.kernel_log().size() - log_before)
+      << label;
+}
+
+TEST(RunTopKTest, EveryOperatorStampsWhatTheDeviceLogged) {
+  // 2^17 + 3 takes HybridTopK's sampled path (whose sample top-m is a
+  // nested framed bitonic call); 2^14 + 3 its plain-bitonic path.
+  for (size_t n : {(size_t{1} << 14) + 3, (size_t{1} << 17) + 3}) {
+    auto data = GenerateFloats(n, Distribution::kUniform, n);
+    for (const topk::TopKOperator* op :
+         topk::GpuSweepOperators(/*include_extensions=*/true)) {
+      Device dev;
+      dev.set_trace_sample_target(8);
+      auto buf = dev.Alloc<float>(n).value();
+      ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
+      for (size_t k : {1, 32, 100}) {
+        ExpectStampsMatchLog(
+            dev, [&] { return op->TopKDevice(dev, buf, n, k); },
+            op->name() + " n=" + std::to_string(n) + " k=" +
+                std::to_string(k));
+      }
+    }
+  }
+}
+
+TEST(RunTopKTest, BitonicReduceRunsStampsWhatTheDeviceLogged) {
+  for (size_t k : {1, 32, 256}) {
+    for (size_t runs : {1, 9, 700}) {
+      // Alternating ascending / descending sorted runs are bitonic.
+      const size_t m = k * runs;
+      auto data = GenerateFloats(m, Distribution::kUniform, m);
+      for (size_t r = 0; r < runs; ++r) {
+        auto first = data.begin() + r * k;
+        std::sort(first, first + k);
+        if (r % 2 == 1) std::reverse(first, first + k);
+      }
+      Device dev;
+      auto buf = dev.Alloc<float>(m).value();
+      ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), m).ok());
+      ExpectStampsMatchLog(
+          dev, [&] { return BitonicReduceRuns(dev, buf, m, k); },
+          "k=" + std::to_string(k) + " m=" + std::to_string(m));
+    }
+  }
+}
+
+TEST(RunTopKTest, RejectsBadKBeforeAnyDeviceEvent) {
+  using Entry = std::function<StatusOr<TopKResult<float>>(
+      Device&, simt::DeviceBuffer<float>&, size_t, size_t)>;
+  const std::vector<std::pair<std::string, Entry>> entries = {
+      {"SortTopKDevice",
+       [](Device& d, simt::DeviceBuffer<float>& b, size_t n, size_t k) {
+         return SortTopKDevice(d, b, n, k);
+       }},
+      {"PerThreadTopKDevice",
+       [](Device& d, simt::DeviceBuffer<float>& b, size_t n, size_t k) {
+         return PerThreadTopKDevice(d, b, n, k);
+       }},
+      {"RadixSelectTopKDevice",
+       [](Device& d, simt::DeviceBuffer<float>& b, size_t n, size_t k) {
+         return RadixSelectTopKDevice(d, b, n, k);
+       }},
+      {"BucketSelectTopKDevice",
+       [](Device& d, simt::DeviceBuffer<float>& b, size_t n, size_t k) {
+         return BucketSelectTopKDevice(d, b, n, k);
+       }},
+      {"BitonicTopKDevice",
+       [](Device& d, simt::DeviceBuffer<float>& b, size_t n, size_t k) {
+         return BitonicTopKDevice(d, b, n, k);
+       }},
+      {"BitonicReduceRuns",
+       [](Device& d, simt::DeviceBuffer<float>& b, size_t n, size_t k) {
+         return BitonicReduceRuns(d, b, n, k);
+       }},
+      {"HybridTopKDevice",
+       [](Device& d, simt::DeviceBuffer<float>& b, size_t n, size_t k) {
+         return HybridTopKDevice(d, b, n, k);
+       }},
+  };
+  const size_t n = 1024;
+  auto data = GenerateFloats(n, Distribution::kUniform);
+  for (const auto& [name, run] : entries) {
+    for (size_t k : {size_t{0}, n + 1}) {
+      // The input lives on another device, so this one's peak stays zero
+      // unless the call itself allocates.
+      Device staging;
+      auto buf = staging.Alloc<float>(n).value();
+      ASSERT_TRUE(staging.CopyToDevice(buf, data.data(), n).ok());
+      Device dev;
+      auto r = run(dev, buf, n, k);
+      ASSERT_FALSE(r.ok()) << name << " k=" << k;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << name << " k=" << k;
+      EXPECT_TRUE(dev.kernel_log().empty()) << name << " k=" << k;
+      EXPECT_EQ(dev.peak_allocated_bytes(), 0u) << name << " k=" << k;
+      EXPECT_EQ(dev.pcie_ms(), 0.0) << name << " k=" << k;
+    }
+  }
 }
 
 }  // namespace
